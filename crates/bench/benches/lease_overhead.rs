@@ -6,10 +6,10 @@
 //!   consumer crash after it loses the message (the baseline every other
 //!   row pays its overhead against),
 //! * `peek-lock-process-crash` — `lease::LeasedQueue`: every grant and
-//!   ack appends one CRC'd record to the sidecar ack log, page-cache
-//!   durability (survives `kill -9`),
-//! * `peek-lock-power-fail` — the same with `fdatasync` per append
-//!   (survives power loss; the fsync dominates),
+//!   ack copies one CRC'd record into the mapped sidecar ack log,
+//!   page-cache durability (survives `kill -9`),
+//! * `peek-lock-power-fail` — the same with an `msync` of the record's
+//!   page per append (survives power loss; the sync dominates),
 //! * `exactly-once` — `ack_exactly_once`: the ack rides a `ptm` redo-log
 //!   transaction together with one consumer-side word write, so the
 //!   commit point settles both atomically,

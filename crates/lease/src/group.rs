@@ -39,14 +39,14 @@
 //! without clobbering its repair window.
 
 use crate::log::{Record, RecordKind};
-use crate::queue::{Lease, LeaseError, Redelivery};
+use crate::queue::{push_deadline, DeadlineHeap, Lease, LeaseError, Redelivery};
 use crate::segments::{SegmentedLog, DEFAULT_ROTATE_RECORDS};
 use durable_queues::{DurableQueue, KeyedQueue};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -255,7 +255,7 @@ struct GroupState {
     log: SegmentedLog,
     inflight: HashMap<u64, InFlight>,
     /// Expiry order with lazy deletion, as in the single-consumer layer.
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
+    deadlines: DeadlineHeap,
     pending: VecDeque<PendingItem>,
     /// Leases whose exactly-once settlement transaction is running outside
     /// the lock (see the single-consumer layer's settling discipline).
@@ -269,7 +269,7 @@ impl GroupState {
         GroupState {
             log,
             inflight: HashMap::new(),
-            deadlines: BinaryHeap::new(),
+            deadlines: DeadlineHeap::new(),
             pending: VecDeque::new(),
             settling: HashSet::new(),
             // Id 0 stays reserved, as in the single-consumer layer.
@@ -608,7 +608,13 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
                 deadline,
             },
         );
-        st.deadlines.push(Reverse((deadline, id)));
+        push_deadline(
+            &mut st.deadlines,
+            deadline,
+            id,
+            st.inflight.len(),
+            st.inflight.iter().map(|(&id, f)| (f.deadline, id)),
+        );
         st.stats.granted += 1;
         GRANTS.incr();
         obs::flight::record(EventKind::LeaseGrant, id, p.item);
@@ -1010,6 +1016,35 @@ mod tests {
     }
 
     #[test]
+    fn deadline_heap_stays_bounded_by_the_in_flight_set() {
+        // The single-consumer layer's bound, per group: 10k grant→ack
+        // cycles under an hour-long timeout never expire anything, so
+        // only the rebuild keeps the heap from growing with every grant.
+        let dir = tmp("deadline-bound");
+        let cfg = GroupConfig::new(&dir, ["a"]).with_timeout(Duration::from_secs(3600));
+        let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), cfg).unwrap());
+        let a = q.group("a").unwrap();
+        q.enqueue(0, 1);
+        let _held = a.dequeue(0).unwrap();
+        for i in 0..10_000u64 {
+            q.enqueue(0, i);
+            let l = a.dequeue(0).unwrap();
+            a.ack(&l).unwrap();
+            let st = q.groups[0].state.lock();
+            // Checked at each grant, when this cycle's lease was in flight.
+            let bound = 2 * (st.inflight.len() + 1) + 64;
+            assert!(
+                st.deadlines.len() <= bound,
+                "after {i} cycles: {} heap entries for {} in flight",
+                st.deadlines.len(),
+                st.inflight.len()
+            );
+        }
+        assert_eq!(a.in_flight(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn every_group_sees_every_item_once() {
         let dir = tmp("fanout");
         let q = Arc::new(
@@ -1211,14 +1246,11 @@ mod tests {
                 .unwrap();
             let _lb = b.dequeue(0).unwrap(); // b crashes mid-flight
         }
-        // Chop a's sidecar ACK to simulate the documented crash window:
+        // Zero a's sidecar ACK to simulate the documented crash window:
         // the transaction committed, the segment append was lost.
-        let a_dir = dir.join(GROUPS_DIR).join("a");
-        let seg = a_dir.join("segment-0000.log");
-        let len = std::fs::metadata(&seg).unwrap().len();
-        let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(len - crate::log::RECORD_LEN as u64).unwrap();
-        drop(f);
+        let seg = dir.join(GROUPS_DIR).join("a").join("segment-0000.log");
+        let lost = crate::log::zero_last_record(&seg, crate::segments::SEGMENT_HEADER_LEN);
+        assert_eq!(lost.kind, RecordKind::Ack);
 
         let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, Some(&eo)).unwrap();
         let q = Arc::new(q);

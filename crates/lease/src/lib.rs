@@ -26,8 +26,10 @@
 //! ```
 //!
 //! Every transition is one CRC'd record appended to a sidecar ack log
-//! (`LEASES.log`, [`log`] module) — fsync'd per append under the
-//! power-fail tier — so a restart replays the log and every lease without
+//! (`LEASES.log`, [`log`] module). The log is a mapped, preallocated
+//! [`store::RecordLog`], so an append is a copy into the page cache with
+//! no syscall — plus an `msync` of the record's page under the power-fail
+//! tier — and a restart replays the log and every lease without
 //! a terminal record becomes redeliverable with an incremented delivery
 //! count: **at-least-once** delivery. Items that exhaust their delivery
 //! budget overflow to a dead-letter queue, itself a durable queue in the
@@ -44,7 +46,8 @@
 //! with an independent delivery cursor, so each group sees every item —
 //! while consumers *within* a group compete for disjoint subsets. Each
 //! group's transitions land in its own directory of rotating ack-log
-//! segments ([`segments`] module): same 40-byte records, but segment
+//! segments ([`segments`] module): same 40-byte records through the same
+//! `RecordLog` append, but segment
 //! rotation plus retirement of fully-settled segments replaces the
 //! single-file log's stop-the-world compaction, and the per-group locks
 //! keep competing consumers of different groups off each other's mutex.

@@ -40,21 +40,30 @@
 //!
 //! # Durability
 //!
-//! Appends are a single `write` syscall; under
-//! [`SyncPolicy::PowerFail`] each append is
-//! additionally `fdatasync`'d before the operation returns (the fsync'd
-//! tier of the acceptance contract), while the default process-crash tier
-//! relies on the page cache surviving the process — the same two-tier
-//! contract as the pool files. Replay tolerates a torn final record (the
-//! tail is dropped, never trusted) but refuses a corrupt header or a CRC
-//! mismatch in the *interior* of the file, which indicate real damage
-//! rather than a mid-append crash.
+//! The log is a [`store::RecordLog`]: a file preallocated in chunks and
+//! mapped shared read-write, so an append is a copy of the 40-byte record
+//! into the mapping — no syscall. Under the default process-crash tier
+//! that is enough: the store is in the page cache the moment it retires
+//! and survives the process, the same contract as the pool files. Under
+//! [`SyncPolicy::PowerFail`] each append additionally `msync`s the
+//! record's page before the operation returns.
+//!
+//! Replay scans the mapping in place. The log ends at the first invalid
+//! record, provided every byte after it is zero (the preallocated tail); a
+//! record torn by the crash in that slot is dropped and zeroed, never
+//! trusted. A corrupt header, or a non-zero byte anywhere after the first
+//! invalid record, is real damage rather than a mid-append crash and is
+//! refused with an error naming the file.
+//!
+//! Version 2 files, which end at their last record instead of a zeroed
+//! tail, replay under the same rule and are rewritten as version 3 by a
+//! compaction before the first append.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
-use std::path::{Path, PathBuf};
-use store::{crc32, SyncPolicy};
+use std::fs::File;
+use std::io;
+use std::path::Path;
+use store::{crc32, RecordLog, SyncPolicy};
 
 /// File name of the ack log inside a leased-queue directory.
 pub const LEASE_LOG_FILE: &str = "LEASES.log";
@@ -62,8 +71,11 @@ pub const LEASE_LOG_FILE: &str = "LEASES.log";
 /// Magic bytes opening the log file.
 pub const LOG_MAGIC: [u8; 8] = *b"DQLEASE1";
 
-/// Current format version.
-pub const LOG_VERSION: u32 = 2;
+/// Current format version. Version 2 (no preallocated tail) is still read.
+pub const LOG_VERSION: u32 = 3;
+
+/// The oldest format version replay accepts.
+const OLDEST_LOG_VERSION: u32 = 2;
 
 /// Size of the file header in bytes (magic + version + next lease id +
 /// generation + header CRC).
@@ -197,6 +209,66 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
+impl Replay {
+    /// Folds one valid record into the reconstruction.
+    pub(crate) fn apply(&mut self, rec: &Record) {
+        self.records += 1;
+        self.next_lease_id = self.next_lease_id.max(rec.lease_id + 1);
+        match rec.kind {
+            RecordKind::Grant => {
+                if rec.prev_lease_id != 0 {
+                    self.live.remove(&rec.prev_lease_id);
+                }
+                self.live.insert(
+                    rec.lease_id,
+                    LiveLease {
+                        item: rec.item,
+                        delivery_count: rec.delivery_count,
+                        granted: true,
+                    },
+                );
+            }
+            RecordKind::Ack => {
+                self.live.remove(&rec.lease_id);
+                self.acked += 1;
+            }
+            RecordKind::Pend => {
+                self.live.insert(
+                    rec.lease_id,
+                    LiveLease {
+                        item: rec.item,
+                        delivery_count: rec.delivery_count,
+                        granted: false,
+                    },
+                );
+            }
+            RecordKind::Dead => {
+                self.live.remove(&rec.lease_id);
+                self.dead += 1;
+            }
+        }
+    }
+
+    /// The live set as compaction records: a GRANT per granted lease, a
+    /// PEND per pending one. Replaying them rebuilds `live` exactly.
+    fn snapshot(&self) -> Vec<Record> {
+        self.live
+            .iter()
+            .map(|(&id, l)| Record {
+                kind: if l.granted {
+                    RecordKind::Grant
+                } else {
+                    RecordKind::Pend
+                },
+                delivery_count: l.delivery_count,
+                lease_id: id,
+                item: l.item,
+                prev_lease_id: 0,
+            })
+            .collect()
+    }
+}
+
 fn header_bytes(next_lease_id: u64, generation: u64) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[0..8].copy_from_slice(&LOG_MAGIC);
@@ -226,6 +298,24 @@ pub(crate) fn fresh_generation() -> u64 {
     (((nanos ^ ((std::process::id() as u64) << 32)) & !0xFFFF) | seq).max(1)
 }
 
+/// Zeroes the last record in the log file at `path` (records start at
+/// `header_len`) and returns it: the crash that loses an append, written
+/// in place the way a mapped log loses it.
+#[cfg(test)]
+pub(crate) fn zero_last_record(path: &Path, header_len: usize) -> Record {
+    let mut bytes = std::fs::read(path).unwrap();
+    let used = bytes[header_len..]
+        .chunks_exact(RECORD_LEN)
+        .take_while(|slot| Record::decode(slot).is_some())
+        .count();
+    assert!(used > 0, "{}: no record to zero", path.display());
+    let at = header_len + (used - 1) * RECORD_LEN;
+    let rec = Record::decode(&bytes[at..at + RECORD_LEN]).unwrap();
+    bytes[at..at + RECORD_LEN].fill(0);
+    std::fs::write(path, &bytes).unwrap();
+    rec
+}
+
 pub(crate) fn bad_data(path: &Path, msg: String) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -237,15 +327,19 @@ pub(crate) fn bad_data(path: &Path, msg: String) -> io::Error {
 /// `LeasedQueue`'s lock, so the log itself is single-writer.
 #[derive(Debug)]
 pub struct AckLog {
-    path: PathBuf,
-    file: File,
+    log: RecordLog,
     sync: SyncPolicy,
-    /// Records in the file since the last create/compaction (valid tail
-    /// drops excluded).
-    records: u64,
     /// The log's identity, fixed at create time and preserved by
     /// compaction (see the [module docs](self)).
     generation: u64,
+}
+
+/// `fsync`s `path`'s parent directory, making a create or rename durable.
+pub(crate) fn sync_parent(path: &Path) -> io::Result<()> {
+    match path.parent() {
+        Some(dir) => File::open(dir)?.sync_data(),
+        None => Ok(()),
+    }
 }
 
 impl AckLog {
@@ -255,25 +349,16 @@ impl AckLog {
     pub fn create(dir: &Path, sync: SyncPolicy) -> io::Result<AckLog> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LEASE_LOG_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
         let generation = fresh_generation();
         // Ids start at 1 (0 is the "no previous lease" sentinel), so a
         // fresh log's high-water mark is 1.
-        file.write_all(&header_bytes(1, generation))?;
+        let log = RecordLog::create(&path, sync, &header_bytes(1, generation), RECORD_LEN, &[])?;
         if sync == SyncPolicy::PowerFail {
-            file.sync_data()?;
-            File::open(dir)?.sync_data()?;
+            sync_parent(&path)?;
         }
         Ok(AckLog {
-            path,
-            file,
+            log,
             sync,
-            records: 0,
             generation,
         })
     }
@@ -282,12 +367,14 @@ impl AckLog {
     /// reconstructed lease state alongside the log (positioned for further
     /// appends). A missing file is not an error — it becomes a fresh log
     /// with an empty replay, so a directory that never leased opens
-    /// cleanly. A torn final record is dropped; a corrupt header or an
-    /// interior CRC mismatch is refused with an error naming the file.
+    /// cleanly. A torn final record is dropped; a corrupt header or
+    /// interior damage is refused with an error naming the file. A
+    /// version 2 log is rewritten as the current version (an ordinary
+    /// compaction of the replayed live set) before this returns.
     pub fn replay(dir: &Path, sync: SyncPolicy) -> io::Result<(AckLog, Replay)> {
         let path = dir.join(LEASE_LOG_FILE);
-        let mut file = match OpenOptions::new().read(true).write(true).open(&path) {
-            Ok(f) => f,
+        let mut log = match RecordLog::open(&path, sync, HEADER_LEN, RECORD_LEN) {
+            Ok(log) => log,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 let log = AckLog::create(dir, sync)?;
                 let replay = Replay {
@@ -299,34 +386,30 @@ impl AckLog {
             }
             Err(e) => return Err(e),
         };
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if bytes.len() < HEADER_LEN {
-            return Err(bad_data(
-                &path,
-                format!("truncated header ({} of {HEADER_LEN} bytes)", bytes.len()),
-            ));
+        let h = log.header();
+        if h[0..8] != LOG_MAGIC {
+            return Err(bad_data(&path, format!("bad magic {:?}", &h[0..8])));
         }
-        if bytes[0..8] != LOG_MAGIC {
-            return Err(bad_data(&path, format!("bad magic {:?}", &bytes[0..8])));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let header_next_id = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let generation = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let stored = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
-        if crc32(&bytes[0..28]) != stored {
+        let version = u32::from_le_bytes(h[8..12].try_into().unwrap());
+        let header_next_id = u64::from_le_bytes(h[12..20].try_into().unwrap());
+        let generation = u64::from_le_bytes(h[20..28].try_into().unwrap());
+        let stored = u32::from_le_bytes(h[28..32].try_into().unwrap());
+        if crc32(&h[0..28]) != stored {
             return Err(bad_data(
                 &path,
                 format!(
                     "header CRC mismatch (expected {:08x}, found {stored:08x})",
-                    crc32(&bytes[0..28])
+                    crc32(&h[0..28])
                 ),
             ));
         }
-        if version != LOG_VERSION {
+        if !(OLDEST_LOG_VERSION..=LOG_VERSION).contains(&version) {
             return Err(bad_data(
                 &path,
-                format!("unsupported version {version} (this build reads {LOG_VERSION})"),
+                format!(
+                    "unsupported version {version} (this build reads \
+                     {OLDEST_LOG_VERSION}..={LOG_VERSION})"
+                ),
             ));
         }
 
@@ -335,97 +418,29 @@ impl AckLog {
             generation,
             ..Replay::default()
         };
-        let body = &bytes[HEADER_LEN..];
-        let mut consumed = 0usize;
-        while body.len() - consumed >= RECORD_LEN {
-            let Some(rec) = Record::decode(&body[consumed..consumed + RECORD_LEN]) else {
-                // An invalid record mid-file would silently drop everything
-                // after it, so only the *final* full record may be torn.
-                if body.len() - consumed > RECORD_LEN {
-                    return Err(bad_data(
-                        &path,
-                        format!(
-                            "corrupt record at byte {} (not at the tail; refusing to \
-                             drop {} trailing bytes)",
-                            HEADER_LEN + consumed,
-                            body.len() - consumed
-                        ),
-                    ));
-                }
-                break;
-            };
-            consumed += RECORD_LEN;
-            replay.records += 1;
-            replay.next_lease_id = replay.next_lease_id.max(rec.lease_id + 1);
-            match rec.kind {
-                RecordKind::Grant => {
-                    if rec.prev_lease_id != 0 {
-                        replay.live.remove(&rec.prev_lease_id);
-                    }
-                    replay.live.insert(
-                        rec.lease_id,
-                        LiveLease {
-                            item: rec.item,
-                            delivery_count: rec.delivery_count,
-                            granted: true,
-                        },
-                    );
-                }
-                RecordKind::Ack => {
-                    replay.live.remove(&rec.lease_id);
-                    replay.acked += 1;
-                }
-                RecordKind::Pend => {
-                    replay.live.insert(
-                        rec.lease_id,
-                        LiveLease {
-                            item: rec.item,
-                            delivery_count: rec.delivery_count,
-                            granted: false,
-                        },
-                    );
-                }
-                RecordKind::Dead => {
-                    replay.live.remove(&rec.lease_id);
-                    replay.dead += 1;
-                }
+        replay.torn_bytes = log.scan(|slot| match Record::decode(slot) {
+            Some(rec) => {
+                replay.apply(&rec);
+                true
             }
+            None => false,
+        })?;
+        log.drop_torn()?;
+        let mut log = AckLog {
+            log,
+            sync,
+            generation,
+        };
+        if version < LOG_VERSION {
+            log.compact(replay.next_lease_id, replay.snapshot())?;
         }
-        replay.torn_bytes = (body.len() - consumed) as u64;
-        if replay.torn_bytes > 0 {
-            // Chop the torn tail so the next append starts on a record
-            // boundary instead of extending garbage. `read_to_end` left the
-            // cursor past the new EOF, so reposition it too — `set_len`
-            // never moves the cursor, and appending through a stale one
-            // would punch a zero-filled hole where a record should be.
-            file.set_len((HEADER_LEN + consumed) as u64)?;
-            file.seek(io::SeekFrom::Start((HEADER_LEN + consumed) as u64))?;
-            if sync == SyncPolicy::PowerFail {
-                file.sync_data()?;
-            }
-        }
-        let records = replay.records;
-        Ok((
-            AckLog {
-                path,
-                file,
-                sync,
-                records,
-                generation,
-            },
-            replay,
-        ))
+        Ok((log, replay))
     }
 
-    /// Appends one record (a single `write` syscall; `fdatasync`'d under
-    /// [`SyncPolicy::PowerFail`]).
+    /// Appends one record: a copy into the mapped tail, plus an `msync` of
+    /// its page under [`SyncPolicy::PowerFail`].
     pub fn append(&mut self, rec: &Record) -> io::Result<()> {
-        self.file.write_all(&rec.encode())?;
-        if self.sync == SyncPolicy::PowerFail {
-            self.file.sync_data()?;
-        }
-        self.records += 1;
-        Ok(())
+        self.log.append(&rec.encode())
     }
 
     /// Atomically rewrites the log to contain exactly `live` (the snapshot
@@ -445,31 +460,21 @@ impl AckLog {
         next_lease_id: u64,
         live: impl IntoIterator<Item = Record>,
     ) -> io::Result<()> {
-        let tmp = self.path.with_extension("log.tmp");
-        let mut out = File::create(&tmp)?;
-        let mut buf: Vec<u8> = header_bytes(next_lease_id, self.generation).to_vec();
-        let mut n = 0u64;
-        for rec in live {
-            buf.extend_from_slice(&rec.encode());
-            n += 1;
-        }
-        out.write_all(&buf)?;
-        out.sync_data()?;
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
-            File::open(parent)?.sync_data()?;
-        }
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        self.records = n;
+        let path = self.log.path().to_path_buf();
+        let tmp = path.with_extension("log.tmp");
+        let records: Vec<u8> = live.into_iter().flat_map(|rec| rec.encode()).collect();
+        let header = header_bytes(next_lease_id, self.generation);
+        let mut log = RecordLog::create(&tmp, self.sync, &header, RECORD_LEN, &records)?;
+        log.sync_data()?;
+        log.rename(&path)?;
+        sync_parent(&path)?;
+        self.log = log;
         Ok(())
     }
 
     /// Records in the file since the last create/compaction.
     pub fn records(&self) -> u64 {
-        self.records
+        self.log.records()
     }
 
     /// The log's generation: its identity, fixed at create time and
@@ -480,7 +485,7 @@ impl AckLog {
 
     /// The log file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -488,7 +493,7 @@ impl AckLog {
 mod tests {
     use super::*;
 
-    fn tmp(tag: &str) -> PathBuf {
+    fn tmp(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-log-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -562,24 +567,129 @@ mod tests {
         log.append(&grant(1, 10, 1, 0)).unwrap();
         log.append(&grant(2, 20, 1, 0)).unwrap();
         drop(log);
-        // Simulate an append torn mid-record.
+        // Simulate an append torn mid-record: the third slot holds part of
+        // a record, the preallocated tail after it stays zero.
         let path = dir.join(LEASE_LOG_FILE);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[0xAB; RECORD_LEN - 7]).unwrap();
-        drop(f);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let slot = HEADER_LEN + 2 * RECORD_LEN;
+        bytes[slot..slot + RECORD_LEN - 7].fill(0xAB);
+        std::fs::write(&path, &bytes).unwrap();
 
         let (mut log, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
         assert_eq!(replay.records, 2);
         assert_eq!(replay.torn_bytes, (RECORD_LEN - 7) as u64);
         assert_eq!(replay.live.len(), 2);
-        // The tail was chopped: a fresh append lands on a record boundary
-        // and replays cleanly.
+        // The torn slot was zeroed: a fresh append lands on a record
+        // boundary and replays cleanly.
         log.append(&terminal(RecordKind::Ack, 1)).unwrap();
         drop(log);
         let (_, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
         assert_eq!(replay.records, 3);
+        assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.live.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_non_zero_byte_after_the_torn_slot_is_refused_with_the_file_name() {
+        // A torn slot followed by zeros is a crash tail; one stray byte
+        // further into the preallocated tail means the "tail" may hide
+        // acknowledged records, so replay must refuse rather than drop it.
+        let dir = tmp("stray");
+        let mut log = AckLog::create(&dir, SyncPolicy::default()).unwrap();
+        log.append(&grant(1, 10, 1, 0)).unwrap();
+        drop(log);
+        let path = dir.join(LEASE_LOG_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[HEADER_LEN + RECORD_LEN + 3] = 0x11; // torn second slot
+        bytes[HEADER_LEN + 50 * RECORD_LEN] = 0x22; // far into the tail
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = AckLog::replay(&dir, SyncPolicy::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(LEASE_LOG_FILE), "{msg}");
+        assert!(msg.contains("corrupt record"), "{msg}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "a refused log must be left as found"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version 2 file, byte for byte: the same header and records, but
+    /// no preallocated tail — the file ends at its last (here: torn)
+    /// record.
+    fn v2_log(dir: &Path, next_lease_id: u64, generation: u64, records: &[Record]) {
+        let mut h = header_bytes(next_lease_id, generation);
+        h[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let crc = crc32(&h[0..28]);
+        h[28..32].copy_from_slice(&crc.to_le_bytes());
+        let mut bytes = h.to_vec();
+        for rec in records {
+            bytes.extend_from_slice(&rec.encode());
+        }
+        bytes.extend_from_slice(&[0xEE; RECORD_LEN - 9]);
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join(LEASE_LOG_FILE), bytes).unwrap();
+    }
+
+    #[test]
+    fn a_version_2_log_replays_the_same_live_set_and_takes_appends() {
+        let records = [
+            grant(1, 100, 1, 0),
+            grant(2, 200, 1, 0),
+            terminal(RecordKind::Ack, 1),
+            Record {
+                kind: RecordKind::Pend,
+                delivery_count: 2,
+                lease_id: 2,
+                item: 200,
+                prev_lease_id: 0,
+            },
+            grant(3, 300, 1, 0),
+        ];
+        // The same records through the current format, for comparison.
+        let cur = tmp("v3-reference");
+        let mut log = AckLog::create(&cur, SyncPolicy::default()).unwrap();
+        for rec in &records {
+            log.append(rec).unwrap();
+        }
+        drop(log);
+        let (_, want) = AckLog::replay(&cur, SyncPolicy::default()).unwrap();
+
+        let dir = tmp("v2");
+        v2_log(&dir, 7, 0xABCD_0000, &records);
+        let (mut log, got) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
+        assert_eq!(got.live, want.live);
+        assert_eq!(got.records, 5);
+        assert_eq!((got.acked, got.dead), (1, 0));
+        assert_eq!(got.torn_bytes, (RECORD_LEN - 9) as u64);
+        assert_eq!(got.next_lease_id, 7, "header mark lost");
+        assert_eq!(got.generation, 0xABCD_0000);
+        // Rewritten as the current version before the first append.
+        let bytes = std::fs::read(dir.join(LEASE_LOG_FILE)).unwrap();
+        assert_eq!(
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+            LOG_VERSION
+        );
+        assert_eq!(
+            log.records(),
+            2,
+            "compaction keeps one record per live lease"
+        );
+        assert_eq!(log.generation(), 0xABCD_0000);
+
+        log.append(&terminal(RecordKind::Ack, 3)).unwrap();
+        drop(log);
+        let (_, again) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
+        assert_eq!(again.live.keys().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(again.live[&2], want.live[&2]);
+        assert_eq!(again.next_lease_id, 7);
+        assert_eq!(again.generation, 0xABCD_0000);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&cur).unwrap();
     }
 
     #[test]

@@ -229,12 +229,35 @@ struct PendingItem {
     delivery_count: u32,
 }
 
+/// Lease expiry order, earliest first, with lazy deletion: an entry is
+/// live iff the lease is still in flight with exactly this deadline.
+pub(crate) type DeadlineHeap = BinaryHeap<Reverse<(Instant, u64)>>;
+
+/// Pushes lease `id`'s `deadline` (the lease must already be in flight)
+/// and keeps the heap bounded. Settled leases leave their entries behind
+/// until the deadline passes, so with a long timeout the heap would grow
+/// with every grant; once it holds more than `2 × in_flight + 64` entries
+/// it is rebuilt from the `live` (deadline, id) pairs. A rebuild costs
+/// O(in_flight) and the next one is at least `in_flight + 64` pushes away,
+/// so pushes stay amortized O(1).
+pub(crate) fn push_deadline(
+    heap: &mut DeadlineHeap,
+    deadline: Instant,
+    id: u64,
+    in_flight: usize,
+    live: impl Iterator<Item = (Instant, u64)>,
+) {
+    heap.push(Reverse((deadline, id)));
+    if heap.len() > 2 * in_flight + 64 {
+        *heap = live.map(Reverse).collect();
+    }
+}
+
 struct LeaseState {
     log: AckLog,
     inflight: HashMap<u64, InFlight>,
-    /// Expiry order with lazy deletion: an entry is live iff the lease is
-    /// still in flight with exactly this deadline.
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// Expiry order (see [`DeadlineHeap`]).
+    deadlines: DeadlineHeap,
     pending: VecDeque<PendingItem>,
     /// Leases whose exactly-once settlement transaction is running outside
     /// the lock: any other settlement attempt (ack, nack, or a second
@@ -606,7 +629,13 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
                 deadline,
             },
         );
-        st.deadlines.push(Reverse((deadline, id)));
+        push_deadline(
+            &mut st.deadlines,
+            deadline,
+            id,
+            st.inflight.len(),
+            st.inflight.iter().map(|(&id, f)| (f.deadline, id)),
+        );
         st.stats.granted += 1;
         GRANTS.incr();
         obs::flight::record(EventKind::LeaseGrant, id, item);
@@ -721,7 +750,7 @@ impl LeaseState {
         LeaseState {
             log,
             inflight: HashMap::new(),
-            deadlines: BinaryHeap::new(),
+            deadlines: DeadlineHeap::new(),
             pending: VecDeque::new(),
             settling: HashSet::new(),
             // Lease id 0 is reserved: it is the "no previous lease"
@@ -864,12 +893,11 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{HEADER_LEN, LEASE_LOG_FILE, RECORD_LEN};
+    use crate::log::{zero_last_record, HEADER_LEN, LEASE_LOG_FILE};
     use crate::tx::ExactlyOnce;
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
     use ptm::FlushPolicy;
-    use std::fs::OpenOptions;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-queue-{tag}-{}", std::process::id()));
@@ -1065,6 +1093,39 @@ mod tests {
     }
 
     #[test]
+    fn deadline_heap_stays_bounded_by_the_in_flight_set() {
+        // Acked leases leave lazily deleted heap entries behind until their
+        // timeout; with an hour-long timeout nothing ever expires, so only
+        // the rebuild keeps the heap from growing with every grant.
+        let dir = tmp("deadline-bound");
+        let cfg = LeaseConfig::new(&dir).with_timeout(Duration::from_secs(3600));
+        let q = LeasedQueue::create(fresh_base(), None, cfg).unwrap();
+        q.enqueue(0, 1);
+        let held = q.dequeue(0).unwrap(); // one lease stays in flight
+        for i in 0..10_000u64 {
+            q.enqueue(0, i);
+            let l = q.dequeue(0).unwrap();
+            q.ack(&l).unwrap();
+            let st = q.state.lock();
+            // The bound is checked at each grant, when this cycle's lease
+            // was in flight too.
+            let bound = 2 * (st.inflight.len() + 1) + 64;
+            assert!(
+                st.deadlines.len() <= bound,
+                "after {i} cycles: {} heap entries for {} in flight",
+                st.deadlines.len(),
+                st.inflight.len()
+            );
+        }
+        // The rebuilt heap still expires what is really in flight.
+        assert_eq!(q.in_flight(), 1);
+        let st = q.state.lock();
+        assert!(st.deadlines.iter().any(|Reverse((_, id))| *id == held.id));
+        drop(st);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn first_ever_lease_nacked_and_regranted_does_not_resurrect() {
         // Regression: if lease ids started at 0, the regrant's
         // `prev_lease_id = 0` would read as "fresh grant" and the first
@@ -1201,13 +1262,10 @@ mod tests {
         }
         // Simulate the documented crash window: the transaction committed
         // (cursor + consumer state durable) but the sidecar ACK append was
-        // lost — chop it off, leaving only the GRANT.
+        // lost — zero its slot, leaving only the GRANT.
         let path = dir.join(LEASE_LOG_FILE);
-        let len = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(len, (HEADER_LEN + 2 * RECORD_LEN) as u64);
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - RECORD_LEN as u64).unwrap();
-        drop(f);
+        let lost = zero_last_record(&path, HEADER_LEN);
+        assert_eq!((lost.kind, lost.lease_id), (RecordKind::Ack, 1));
 
         let (q, rec) = LeasedQueue::recover(fresh_base(), None, cfg, Some(&eo)).unwrap();
         assert_eq!(rec.tx_acked, 1, "committed ack not repaired");

@@ -48,19 +48,31 @@
 //! is refused, and the exactly-once cursor uses it exactly as with the
 //! single-file log.
 //!
+//! # Appends and torn tails
+//!
+//! Each segment is a [`store::RecordLog`], the same mapped, preallocated
+//! record file as the single-file log: an append copies the record into
+//! the active segment's mapping (no syscall; an `msync` of its page under
+//! [`SyncPolicy::PowerFail`]), and replay scans each segment in place.
 //! Torn-tail handling per segment follows the single-file rules: only the
 //! *active* (highest-numbered) segment may end in a torn record, which is
-//! chopped; a torn or corrupt record in a sealed segment is real damage and
-//! is refused with an error naming the file.
+//! zeroed; a torn or corrupt record in a sealed segment, or a non-zero
+//! byte after any segment's last record, is real damage and is refused
+//! with an error naming the file.
+//!
+//! Version 1 segments end at their last record instead of a zeroed tail.
+//! They replay under the same rules; a version 1 *active* segment is
+//! sealed on open by rotating to a fresh current-version segment, so no
+//! file ever mixes the two layouts.
 
-use crate::log::{bad_data, fresh_generation, LiveLease, Record, RecordKind, Replay, RECORD_LEN};
+use crate::log::{bad_data, fresh_generation, sync_parent, Record, RecordKind, Replay, RECORD_LEN};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use store::{crc32, SyncPolicy};
+use store::{crc32, RecordLog, SyncPolicy};
 
 static ROTATIONS: LazyCounter = LazyCounter::new("lease.group.rotation");
 static RETIREMENTS: LazyCounter = LazyCounter::new("lease.group.retire");
@@ -74,8 +86,15 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"DQSEGMT1";
 /// Magic bytes opening the group meta file.
 pub const GROUP_META_MAGIC: [u8; 8] = *b"DQGMETA1";
 
-/// Current segment/meta format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Current segment format version. Version 1 (no preallocated tail) is
+/// still read.
+pub const SEGMENT_VERSION: u32 = 2;
+
+/// The oldest segment format version replay accepts.
+const OLDEST_SEGMENT_VERSION: u32 = 1;
+
+/// Current `GROUP.meta` format version.
+pub const GROUP_META_VERSION: u32 = 1;
 
 /// Size of a segment file header in bytes (magic + version + seq +
 /// id high-water mark + generation + CRC + pad). One record's worth, so
@@ -118,7 +137,7 @@ fn segment_header(seq: u32, next_lease_id: u64, generation: u64) -> [u8; SEGMENT
 fn meta_bytes(retired_below: u32, generation: u64) -> [u8; GROUP_META_LEN] {
     let mut m = [0u8; GROUP_META_LEN];
     m[0..8].copy_from_slice(&GROUP_META_MAGIC);
-    m[8..12].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    m[8..12].copy_from_slice(&GROUP_META_VERSION.to_le_bytes());
     m[12..16].copy_from_slice(&retired_below.to_le_bytes());
     m[16..24].copy_from_slice(&generation.to_le_bytes());
     let crc = crc32(&m[0..24]);
@@ -168,10 +187,10 @@ fn read_meta(dir: &Path) -> io::Result<Option<Meta>> {
         return Err(bad_data(&path, format!("bad magic {:?}", &bytes[0..8])));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SEGMENT_VERSION {
+    if version != GROUP_META_VERSION {
         return Err(bad_data(
             &path,
-            format!("unsupported version {version} (this build reads {SEGMENT_VERSION})"),
+            format!("unsupported version {version} (this build reads {GROUP_META_VERSION})"),
         ));
     }
     let stored = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
@@ -220,8 +239,7 @@ pub struct SegmentedLog {
     generation: u64,
     retired_below: u32,
     active_seq: u32,
-    active: File,
-    active_records: u64,
+    active: RecordLog,
     /// Total valid records across all surviving segments (replayed +
     /// appended, minus retired files' contributions — recomputed only at
     /// replay, so between opens this only grows).
@@ -247,6 +265,17 @@ impl SegmentedLog {
         std::fs::create_dir_all(dir)?;
         let generation = fresh_generation();
         write_meta(dir, 0, generation, sync)?;
+        Self::fresh(dir, sync, rotate_records, generation)
+    }
+
+    /// An empty log of `generation` whose only segment is a new
+    /// `segment-0000.log`.
+    fn fresh(
+        dir: &Path,
+        sync: SyncPolicy,
+        rotate_records: u64,
+        generation: u64,
+    ) -> io::Result<SegmentedLog> {
         let active = Self::new_segment(dir, 0, 1, generation, sync)?;
         let mut seg_live = BTreeMap::new();
         seg_live.insert(0u32, 0u64);
@@ -258,7 +287,6 @@ impl SegmentedLog {
             retired_below: 0,
             active_seq: 0,
             active,
-            active_records: 0,
             records: 0,
             resident: HashMap::new(),
             seg_live,
@@ -274,21 +302,17 @@ impl SegmentedLog {
         next_lease_id: u64,
         generation: u64,
         sync: SyncPolicy,
-    ) -> io::Result<File> {
+    ) -> io::Result<RecordLog> {
         let path = segment_path(dir, seq);
-        let mut f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        f.write_all(&segment_header(seq, next_lease_id, generation))?;
+        let header = segment_header(seq, next_lease_id, generation);
+        // Under the power-fail tier `create` fdatasyncs the header: with
+        // the directory entry below, that durable header *is* the
+        // rotation commit point.
+        let log = RecordLog::create(&path, sync, &header, RECORD_LEN, &[])?;
         if sync == SyncPolicy::PowerFail {
-            // The durable header *is* the rotation commit point.
-            f.sync_data()?;
-            File::open(dir)?.sync_data()?;
+            sync_parent(&path)?;
         }
-        Ok(f)
+        Ok(log)
     }
 
     /// Opens and replays the segment directory. A missing directory (or a
@@ -335,16 +359,11 @@ impl SegmentedLog {
         // Roll forward interrupted retirements and refuse restored retired
         // segments: anything below the watermark was durably declared
         // settled and must not be replayed.
-        let mut retired_leftovers = 0u32;
-        seqs.retain(|&seq| {
-            if seq < meta.retired_below {
-                let _ = std::fs::remove_file(segment_path(dir, seq));
-                retired_leftovers += 1;
-                false
-            } else {
-                true
-            }
-        });
+        let below = seqs.partition_point(|&seq| seq < meta.retired_below);
+        for seq in seqs.drain(..below) {
+            std::fs::remove_file(segment_path(dir, seq))?;
+        }
+        let retired_leftovers = below as u32;
 
         if seqs.is_empty() {
             if meta.retired_below != 0 {
@@ -360,25 +379,7 @@ impl SegmentedLog {
             }
             // Crash between meta creation and segment-0 creation: finish
             // the create with the durable generation.
-            let active = Self::new_segment(dir, 0, 1, meta.generation, sync)?;
-            let mut seg_live = BTreeMap::new();
-            seg_live.insert(0u32, 0u64);
-            let log = SegmentedLog {
-                dir: dir.to_path_buf(),
-                sync,
-                rotate_records,
-                generation: meta.generation,
-                retired_below: 0,
-                active_seq: 0,
-                active,
-                active_records: 0,
-                records: 0,
-                resident: HashMap::new(),
-                seg_live,
-                rotations: 0,
-                retired: 0,
-                auto_retire: true,
-            };
+            let log = Self::fresh(dir, sync, rotate_records, meta.generation)?;
             let replay = GroupReplay {
                 replay: Replay {
                     next_lease_id: 1,
@@ -413,17 +414,23 @@ impl SegmentedLog {
         };
         let mut resident: HashMap<u64, u32> = HashMap::new();
         let last_seq = *seqs.last().unwrap();
-        let mut rolled_back_last = false;
+        // The newest segment that opened with a valid header, and its
+        // format version: the active segment once the loop ends.
+        let mut newest: Option<(u32, RecordLog, u32)> = None;
         for &seq in &seqs {
             let path = segment_path(dir, seq);
-            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
-            let header_ok = bytes.len() >= SEGMENT_HEADER_LEN && {
-                let stored = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
-                bytes[0..8] == SEGMENT_MAGIC && crc32(&bytes[0..32]) == stored
+            let seg = match RecordLog::open(&path, sync, SEGMENT_HEADER_LEN, RECORD_LEN) {
+                Ok(seg) => Some(seg),
+                // Shorter than a header.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => None,
+                Err(e) => return Err(e),
             };
-            if !header_ok {
+            let header_ok = seg.as_ref().is_some_and(|seg| {
+                let h = seg.header();
+                let stored = u32::from_le_bytes(h[32..36].try_into().unwrap());
+                h[0..8] == SEGMENT_MAGIC && crc32(&h[0..32]) == stored
+            });
+            let Some(mut seg) = seg.filter(|_| header_ok) else {
                 if seq == last_seq && seq != meta.retired_below {
                     // A torn header can only be the newest segment's — an
                     // incomplete rotation, which by the commit-point rule
@@ -432,32 +439,34 @@ impl SegmentedLog {
                     // never-rotated log has no predecessor to fall back
                     // to, so damage there is refused like any sealed
                     // segment.)
-                    drop(file);
                     std::fs::remove_file(&path)?;
-                    rolled_back_last = true;
                     break;
                 }
                 return Err(bad_data(
                     &path,
                     "corrupt segment header (not the newest segment; refusing)".into(),
                 ));
-            }
-            let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-            if version != SEGMENT_VERSION {
+            };
+            let h = seg.header();
+            let version = u32::from_le_bytes(h[8..12].try_into().unwrap());
+            if !(OLDEST_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
                 return Err(bad_data(
                     &path,
-                    format!("unsupported version {version} (this build reads {SEGMENT_VERSION})"),
+                    format!(
+                        "unsupported version {version} (this build reads \
+                         {OLDEST_SEGMENT_VERSION}..={SEGMENT_VERSION})"
+                    ),
                 ));
             }
-            let header_seq = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+            let header_seq = u32::from_le_bytes(h[12..16].try_into().unwrap());
             if header_seq != seq {
                 return Err(bad_data(
                     &path,
                     format!("header seq {header_seq} does not match the file name"),
                 ));
             }
-            let header_next_id = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-            let header_generation = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+            let header_next_id = u64::from_le_bytes(h[16..24].try_into().unwrap());
+            let header_generation = u64::from_le_bytes(h[24..32].try_into().unwrap());
             if header_generation != meta.generation {
                 return Err(bad_data(
                     &path,
@@ -470,104 +479,59 @@ impl SegmentedLog {
             }
             replay.next_lease_id = replay.next_lease_id.max(header_next_id);
 
-            let body = &bytes[SEGMENT_HEADER_LEN..];
-            let mut consumed = 0usize;
-            while body.len() - consumed >= RECORD_LEN {
-                let Some(rec) = Record::decode(&body[consumed..consumed + RECORD_LEN]) else {
-                    if seq != last_seq || body.len() - consumed > RECORD_LEN {
-                        return Err(bad_data(
-                            &path,
-                            format!(
-                                "corrupt record at byte {} ({}; refusing to drop {} \
-                                 trailing bytes)",
-                                SEGMENT_HEADER_LEN + consumed,
-                                if seq != last_seq {
-                                    "inside a sealed segment"
-                                } else {
-                                    "not at the tail"
-                                },
-                                body.len() - consumed
-                            ),
-                        ));
-                    }
-                    break;
+            let torn = seg.scan(|slot| {
+                let Some(rec) = Record::decode(slot) else {
+                    return false;
                 };
-                consumed += RECORD_LEN;
-                replay.records += 1;
-                replay.next_lease_id = replay.next_lease_id.max(rec.lease_id + 1);
+                replay.apply(&rec);
+                // Residency mirrors the live set: a lease lives in the
+                // segment holding its latest live record.
                 match rec.kind {
                     RecordKind::Grant => {
                         if rec.prev_lease_id != 0 {
-                            replay.live.remove(&rec.prev_lease_id);
                             resident.remove(&rec.prev_lease_id);
                         }
-                        replay.live.insert(
-                            rec.lease_id,
-                            LiveLease {
-                                item: rec.item,
-                                delivery_count: rec.delivery_count,
-                                granted: true,
-                            },
-                        );
                         resident.insert(rec.lease_id, seq);
-                    }
-                    RecordKind::Ack => {
-                        replay.live.remove(&rec.lease_id);
-                        resident.remove(&rec.lease_id);
-                        replay.acked += 1;
                     }
                     RecordKind::Pend => {
-                        replay.live.insert(
-                            rec.lease_id,
-                            LiveLease {
-                                item: rec.item,
-                                delivery_count: rec.delivery_count,
-                                granted: false,
-                            },
-                        );
                         resident.insert(rec.lease_id, seq);
                     }
-                    RecordKind::Dead => {
-                        replay.live.remove(&rec.lease_id);
+                    RecordKind::Ack | RecordKind::Dead => {
                         resident.remove(&rec.lease_id);
-                        replay.dead += 1;
                     }
                 }
-            }
-            let tail = (body.len() - consumed) as u64;
-            if tail > 0 {
+                true
+            })?;
+            if torn > 0 {
                 if seq != last_seq {
                     return Err(bad_data(
                         &path,
-                        format!("torn record of {tail} bytes inside a sealed segment"),
+                        format!("torn record of {torn} bytes inside a sealed segment"),
                     ));
                 }
-                replay.torn_bytes += tail;
-                file.set_len((SEGMENT_HEADER_LEN + consumed) as u64)?;
-                if sync == SyncPolicy::PowerFail {
-                    file.sync_data()?;
-                }
+                replay.torn_bytes += torn;
+                seg.drop_torn()?;
             }
+            newest = Some((seq, seg, version));
         }
 
-        let active_seq = if rolled_back_last {
-            last_seq - 1
-        } else {
-            last_seq
+        let Some((active_seq, active, active_version)) = newest else {
+            // The lone surviving segment had a torn header.
+            return Err(bad_data(
+                dir,
+                format!(
+                    "no segment with a valid header at or above the retirement watermark {}",
+                    meta.retired_below
+                ),
+            ));
         };
         let mut seg_live: BTreeMap<u32, u64> = (seqs[0]..=active_seq).map(|s| (s, 0)).collect();
         for &seq in resident.values() {
             *seg_live.get_mut(&seq).expect("resident seq exists") += 1;
         }
-        let active_path = segment_path(dir, active_seq);
-        let mut active = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&active_path)?;
-        let active_len = active.seek(io::SeekFrom::End(0))?;
-        let active_records = (active_len as usize - SEGMENT_HEADER_LEN) as u64 / RECORD_LEN as u64;
 
         let records = replay.records;
+        let log_next_id = replay.next_lease_id;
         let mut log = SegmentedLog {
             dir: dir.to_path_buf(),
             sync,
@@ -576,7 +540,6 @@ impl SegmentedLog {
             retired_below: meta.retired_below,
             active_seq,
             active,
-            active_records,
             records,
             resident,
             seg_live,
@@ -584,6 +547,11 @@ impl SegmentedLog {
             retired: 0,
             auto_retire: true,
         };
+        if active_version < SEGMENT_VERSION {
+            // Seal an older-layout active segment: appends only ever land
+            // in current-version files.
+            log.rotate(log_next_id)?;
+        }
         // A crash between rotation and retirement leaves fully-settled
         // sealed segments behind; finish their retirement now.
         log.retire_prefix()?;
@@ -607,14 +575,10 @@ impl SegmentedLog {
     /// record arrives, not when the last one lands, so an idle log never
     /// carries an empty trailing segment.
     pub fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
-        if self.rotate_records > 0 && self.active_records >= self.rotate_records {
+        if self.rotate_records > 0 && self.active.records() >= self.rotate_records {
             self.rotate(next_lease_id)?;
         }
-        self.active.write_all(&rec.encode())?;
-        if self.sync == SyncPolicy::PowerFail {
-            self.active.sync_data()?;
-        }
-        self.active_records += 1;
+        self.active.append(&rec.encode())?;
         self.records += 1;
 
         // Residency bookkeeping mirrors replay: a lease lives in the
@@ -665,7 +629,6 @@ impl SegmentedLog {
             self.sync,
         )?;
         self.active_seq = new_seq;
-        self.active_records = 0;
         self.seg_live.insert(new_seq, 0);
         self.rotations += 1;
         ROTATIONS.incr();
@@ -905,19 +868,23 @@ mod tests {
         assert_eq!(log.active_seq(), 1);
         let active = segment_path(&dir, 1);
         drop(log);
-        let mut f = OpenOptions::new().append(true).open(&active).unwrap();
-        f.write_all(&[0xAB; RECORD_LEN - 5]).unwrap();
-        drop(f);
+        // Segment 1 holds one record; tear the slot after it in place.
+        let mut bytes = std::fs::read(&active).unwrap();
+        let slot = SEGMENT_HEADER_LEN + RECORD_LEN;
+        bytes[slot..slot + RECORD_LEN - 5].fill(0xAB);
+        std::fs::write(&active, &bytes).unwrap();
 
         let (mut log, gr) = SegmentedLog::replay(&dir, SyncPolicy::default(), 2).unwrap();
         assert_eq!(gr.replay.records, 3);
         assert_eq!(gr.replay.torn_bytes, (RECORD_LEN - 5) as u64);
         assert_eq!(gr.replay.live.len(), 3);
-        // The chop leaves the next append on a record boundary.
+        // Zeroing the torn slot leaves the next append on a record
+        // boundary.
         log.append(&ack(1), 4).unwrap();
         drop(log);
         let (_, gr) = SegmentedLog::replay(&dir, SyncPolicy::default(), 2).unwrap();
         assert_eq!(gr.replay.records, 4);
+        assert_eq!(gr.replay.torn_bytes, 0);
         assert_eq!(gr.replay.live.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -934,12 +901,13 @@ mod tests {
         log.append(&grant(3, 30, 1, 0), 4).unwrap();
         assert_eq!(log.active_seq(), 1);
         drop(log);
+        // Tear segment 0's last record in place: its final 7 bytes are
+        // lost, the way a crash mid-append would leave the tail slot.
         let sealed = segment_path(&dir, 0);
-        let len = std::fs::metadata(&sealed).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&sealed).unwrap();
-        f.set_len(len - 7).unwrap();
-        drop(f);
-
+        let mut bytes = std::fs::read(&sealed).unwrap();
+        let end = SEGMENT_HEADER_LEN + 2 * RECORD_LEN;
+        bytes[end - 7..end].fill(0);
+        std::fs::write(&sealed, &bytes).unwrap();
         let err = SegmentedLog::replay(&dir, SyncPolicy::default(), 2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
@@ -1070,5 +1038,82 @@ mod tests {
         let err = SegmentedLog::replay(&dir, SyncPolicy::default(), 8).unwrap_err();
         assert!(err.to_string().contains("without GROUP.meta"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version 1 segment, byte for byte: header and records with no
+    /// preallocated tail.
+    fn v1_segment(dir: &Path, seq: u32, next_lease_id: u64, generation: u64, records: &[Record]) {
+        let mut bytes = segment_header(seq, next_lease_id, generation).to_vec();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bytes[0..32]);
+        bytes[32..36].copy_from_slice(&crc.to_le_bytes());
+        for rec in records {
+            bytes.extend_from_slice(&rec.encode());
+        }
+        std::fs::write(segment_path(dir, seq), bytes).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_directory_replays_the_same_live_set_and_takes_appends() {
+        let sealed = [grant(1, 10, 1, 0), grant(2, 20, 1, 0), ack(1)];
+        let active = [
+            grant(3, 30, 1, 0),
+            Record {
+                kind: RecordKind::Pend,
+                delivery_count: 2,
+                lease_id: 2,
+                item: 20,
+                prev_lease_id: 0,
+            },
+        ];
+        // The same records through the current format, for comparison.
+        let cur = tmp("v2-reference");
+        let mut log = SegmentedLog::create(&cur, SyncPolicy::default(), 3).unwrap();
+        for (i, rec) in sealed.iter().chain(&active).enumerate() {
+            log.append(rec, i as u64 + 2).unwrap();
+        }
+        drop(log);
+        let (_, want) = SegmentedLog::replay(&cur, SyncPolicy::default(), 3).unwrap();
+
+        let dir = tmp("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let generation = 0x5EED_0000;
+        std::fs::write(dir.join(GROUP_META_FILE), meta_bytes(0, generation)).unwrap();
+        v1_segment(&dir, 0, 1, generation, &sealed);
+        v1_segment(&dir, 1, 3, generation, &active);
+        // A torn final record in the active segment, as version 1 left it.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(segment_path(&dir, 1))
+            .unwrap();
+        f.write_all(&[0xAB; RECORD_LEN - 5]).unwrap();
+        drop(f);
+
+        let (mut log, gr) = SegmentedLog::replay(&dir, SyncPolicy::default(), 3).unwrap();
+        assert_eq!(gr.replay.live, want.replay.live);
+        assert_eq!(gr.replay.records, 5);
+        assert_eq!(gr.replay.acked, 1);
+        assert_eq!(gr.replay.torn_bytes, (RECORD_LEN - 5) as u64);
+        assert_eq!(gr.replay.next_lease_id, 4);
+        assert_eq!(gr.replay.generation, generation);
+        // The version 1 active segment was sealed by a rotation, and the
+        // fully settled segment 0 retired.
+        assert_eq!(log.active_seq(), 2);
+        let fresh = std::fs::read(segment_path(&dir, 2)).unwrap();
+        assert_eq!(
+            u32::from_le_bytes(fresh[8..12].try_into().unwrap()),
+            SEGMENT_VERSION
+        );
+        assert!(!segment_path(&dir, 0).exists(), "settled segment kept");
+
+        log.append(&ack(3), 4).unwrap();
+        drop(log);
+        let (_, gr) = SegmentedLog::replay(&dir, SyncPolicy::default(), 3).unwrap();
+        assert_eq!(gr.replay.live.keys().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(gr.replay.live[&2], want.replay.live[&2]);
+        assert_eq!(gr.replay.torn_bytes, 0);
+        assert_eq!(gr.replay.next_lease_id, 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&cur).unwrap();
     }
 }

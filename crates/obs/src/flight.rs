@@ -16,12 +16,15 @@
 //! correctness — growth commits, lease grants — are already in durable logs
 //! of their own.)
 //!
-//! Torn-record handling follows `LEASES.log`: every record carries a CRC
-//! over its payload, and [`replay`] simply drops slots that fail it (a kill
-//! mid-store tears at most the records being written at that instant).
-//! Unlike the ack log, *interior* CRC failures are also dropped rather than
-//! refused — a lossy ring is forensics, not a source of truth, and a lapped
-//! writer tearing an old slot must not render the whole ring unreadable.
+//! Torn-record handling borrows the CRC discipline of `LEASES.log`: every
+//! record carries a CRC over its payload, and [`replay`] drops slots that
+//! fail it (a kill mid-store tears at most the records being written at
+//! that instant). The ack log goes further: it ends at its first invalid
+//! record, zeroes that slot, and refuses the whole file if any byte after
+//! it is non-zero. The ring drops *every* failing slot instead, interior
+//! ones included — a lossy ring is forensics, not a source of truth, and a
+//! lapped writer tearing an old slot must not render the whole ring
+//! unreadable.
 //! The file itself is created tmp+rename+dir-fsync, like `SHARDS.manifest`,
 //! so a crash during creation leaves either no ring or a whole one.
 //!

@@ -30,7 +30,12 @@
 //!   generation in a per-thread hazard slot and growth epoch-retires the
 //!   superseded mapping — see
 //!   [`file_pool`](self::file_pool#lock-free-mapping-access) and the
-//!   repository's `docs/PERFORMANCE.md` chapter.
+//!   repository's `docs/PERFORMANCE.md` chapter,
+//! * a [`RecordLog`] is the append-only side of the same mapping idea: a
+//!   preallocated file of fixed-size records whose appends are a copy into
+//!   the mapping (plus an `msync` of the record's pages under the
+//!   power-fail tier), replayed in place. The `lease` crate's ack logs are
+//!   built on it.
 //!
 //! ```
 //! use durable_queues::{DurableQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue};
@@ -76,6 +81,7 @@
 pub mod crc;
 pub mod file_pool;
 pub mod mmap;
+pub mod record_log;
 
 pub use crc::crc32;
 pub use file_pool::{
@@ -83,3 +89,4 @@ pub use file_pool::{
     HEADER_LEN, MAGIC,
 };
 pub use mmap::MmapRegion;
+pub use record_log::RecordLog;
