@@ -5,19 +5,21 @@
 //! * `destructive` — the bare queue: `dequeue` removes the item, a
 //!   consumer crash after it loses the message (the baseline every other
 //!   row pays its overhead against),
-//! * `peek-lock-process-crash` — `lease::LeasedQueue`: every grant and
-//!   ack copies one CRC'd record into the mapped sidecar ack log,
-//!   page-cache durability (survives `kill -9`),
+//! * `peek-lock-process-crash` — `lease::LeasedQueue`, the lease engine
+//!   with one consumer group: every grant and ack copies one CRC'd record
+//!   into the group's mapped ack-log segment, page-cache durability
+//!   (survives `kill -9`),
 //! * `peek-lock-power-fail` — the same with an `msync` of the record's
 //!   page per append (survives power loss; the sync dominates),
 //! * `exactly-once` — `ack_exactly_once`: the ack rides a `ptm` redo-log
 //!   transaction together with one consumer-side word write, so the
 //!   commit point settles both atomically,
 //! * `grouped-1` / `grouped-2` — `lease::GroupedQueue` with one and two
-//!   consumer groups over rotating segmented ack logs: each pair pays a
-//!   PEND fan-out append per group plus the GRANT/ACK appends of the
-//!   consuming group, and rotation/retirement replace whole-file
-//!   compaction (the two-group row is the fan-out cost, not competition).
+//!   consumer groups: the consuming group pops the item and pays only its
+//!   GRANT (no PEND) and ACK appends, and every *other* group pays one
+//!   PEND append, so `grouped-1` is the same engine and record mix as
+//!   `peek-lock-process-crash` and `grouped-2` adds the fan-out cost (not
+//!   competition).
 //!
 //! ```bash
 //! cargo bench --bench lease_overhead           # full run
@@ -66,8 +68,9 @@ fn leased_queue(tag: &str, sync: SyncPolicy) -> (LeasedQueue<OptUnlinkedQueue>, 
 }
 
 /// One enqueue + one consume through each path. The peek-lock rows pay
-/// two ack-log appends per pair (GRANT + ACK) and amortised compactions;
-/// the exactly-once row pays a redo-log transaction instead of the ACK.
+/// two ack-log appends per pair (GRANT + ACK) and amortised segment
+/// rotation/retirement; the exactly-once row pays a redo-log transaction
+/// instead of the ACK.
 fn consume_pair(c: &mut Criterion) {
     let mut group = c.benchmark_group("lease/consume_pair");
     group
@@ -101,11 +104,11 @@ fn consume_pair(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // The segmented-log rows: every consume-pair fans the item out to all
-    // groups (one PEND append each) and the consuming group adds its
-    // GRANT + ACK; the second group's copies just accumulate in its
-    // pending set. Rotation is left at its default cadence so the
-    // measured cost includes the amortised rotate/retire path.
+    // The grouped rows: every consume-pair grants the popped item straight
+    // into g0 (GRANT + ACK) and PENDs it into every other group, whose
+    // copies just accumulate in its pending set. Rotation is left at its
+    // default cadence so the measured cost includes the amortised
+    // rotate/retire path.
     for groups in [1usize, 2] {
         let tag = format!("grouped-{groups}");
         let dir = log_dir(&tag);
@@ -119,8 +122,8 @@ fn consume_pair(c: &mut Criterion) {
             .expect("create grouped queue"),
         );
         let consumer = queue.group("g0").expect("g0 handle");
-        // Drain the prefill through g0 so the pending set starts empty and
-        // the timed pair is enqueue → dispatch → grant → ack.
+        // Drain the prefill through g0 so the timed pair is enqueue → pop
+        // → grant → ack.
         while let Some(l) = consumer.dequeue(0) {
             consumer.ack(&l).expect("prefill ack");
         }

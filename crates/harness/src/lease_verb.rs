@@ -16,7 +16,8 @@
 //! so the measured rate includes real redelivery traffic and every run
 //! exercises the ack log's grant/ack/pend record mix. The table reports
 //! end-to-end consumed throughput, the ack rate, and the lease-layer
-//! counters (granted / redelivered / nacked / compactions).
+//! counters (granted / redelivered / nacked / compactions, the last being
+//! the ack-log segments retired).
 //!
 //! With `--groups G` (or `--consumers N` > 1) the sweep switches to the
 //! consumer-group deployment ([`lease::GroupedQueue`]): `G` groups each
@@ -39,8 +40,8 @@ use crate::algorithms::Algorithm;
 use crate::with_recoverable;
 use durable_queues::QueueConfig;
 use lease::{
-    create_grouped_dir, create_leased_dir, open_leased_dir, GroupDirConfig, GroupStats,
-    LeaseDirConfig, LeaseStats, Redelivery,
+    create_grouped_dir, create_leased_dir, open_leased_dir, GroupDirConfig, LeaseDirConfig,
+    LeaseStats, Redelivery,
 };
 use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig};
 use std::collections::BTreeMap;
@@ -136,7 +137,7 @@ pub struct LeaseRow {
     pub acked_per_sec: f64,
     /// Lease-layer counters at the end of the run.
     pub stats: LeaseStats,
-    /// Ack-log records on disk at the end of the run (post-compaction).
+    /// Ack-log records appended during the run.
     pub log_records: u64,
 }
 
@@ -296,7 +297,7 @@ pub struct LeaseGroupRow {
     /// (`groups * ops / wall`).
     pub acked_per_sec: f64,
     /// Lease-layer counters summed across groups.
-    pub stats: GroupStats,
+    pub stats: LeaseStats,
 }
 
 fn grouped_queue_config(cfg: &LeaseVerbConfig) -> QueueConfig {
@@ -409,7 +410,7 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
             }
         });
         let wall = started.elapsed();
-        let mut stats = GroupStats::default();
+        let mut stats = LeaseStats::default();
         for handle in &handles {
             let s = handle.stats();
             assert_eq!(s.acked, cfg.ops, "group {} under-acked", handle.name());
@@ -419,7 +420,7 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
             stats.acked += s.acked;
             stats.nacked += s.nacked;
             stats.rotations += s.rotations;
-            stats.segments_retired += s.segments_retired;
+            stats.compactions += s.compactions;
             stats.log_records += s.log_records;
             stats.segments += s.segments;
         }
@@ -466,7 +467,7 @@ pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Str
             r.stats.granted,
             r.stats.redelivered,
             r.stats.rotations,
-            r.stats.segments_retired,
+            r.stats.compactions,
             r.stats.log_records,
             r.stats.segments,
         ));
@@ -501,7 +502,7 @@ pub fn lease_groups_json(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Strin
             r.stats.nacked,
             r.stats.dead_lettered,
             r.stats.rotations,
-            r.stats.segments_retired,
+            r.stats.compactions,
             r.stats.log_records,
             r.stats.segments,
         ));

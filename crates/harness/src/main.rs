@@ -633,7 +633,8 @@ fn main() {
                             and batch windows (--producers 1,2,4,8\n\
                             --windows 0,50,200 --fences N --pages K)\n\
                  lease      peek-lock producer/consumer throughput through a\n\
-                            leased deployment (ack rate, redelivery, compaction);\n\
+                            leased deployment (ack rate, redelivery, ack-log\n\
+                            segments retired as compactions);\n\
                             --groups G / --consumers N switch to the consumer-\n\
                             group deployment (every group sees every item,\n\
                             consumers within a group compete)\n\

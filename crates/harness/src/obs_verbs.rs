@@ -8,7 +8,7 @@
 //! `metrics` drives a short leased producer/consumer round — the one
 //! workload that touches every instrument family at once (core
 //! enqueue/dequeue, store mapping/fence/msync, shard routing, lease
-//! grant/ack/nack/compaction) — then prints the process-global
+//! dispatch/grant/ack/nack/rotation/retire) — then prints the process-global
 //! [`obs::snapshot`] as Prometheus text exposition, or as a `metrics`
 //! experiment object with `--json`.
 //!

@@ -8,14 +8,20 @@
 //! deployment/
 //!   SHARDS.manifest     # shard count + routing policy (shard crate)
 //!   shard-00.pool …     # one pool file per shard
-//!   dead-letter.pool    # the DLQ's own pool file
-//!   LEASES.log          # the ack log (lease crate)
+//!   dead-letter.pool    # the DLQ's own pool file      (leased only)
+//!   GROUP.meta          # retirement watermark + generation (leased only)
+//!   segment-NNNN.log    # rotating ack-log segments     (leased only)
 //!   groups/             # consumer-group deployments only
 //!     <name>/
-//!       GROUP.meta      # retirement watermark + generation
-//!       segment-NNNN.log# rotating per-group ack-log segments
+//!       GROUP.meta      # the same chain, one per group
+//!       segment-NNNN.log
 //!       dead-letter.pool# that group's own DLQ pool
 //! ```
+//!
+//! A leased deployment is the one-group case of a grouped one, with its
+//! group's chain at the top level. A `LEASES.log` in the top level is the
+//! single-file ack log of an older build, and [`open_leased_dir`] refuses
+//! it (see [`LeasedQueue::recover`]).
 //!
 //! [`open_leased_dir`] recovers in dependency order — shards in parallel
 //! via [`RecoveryOrchestrator`], then the DLQ pool, then the ack-log
@@ -54,7 +60,8 @@ pub struct LeaseDirConfig {
     /// Durability tier applied uniformly to the shard pools (on reopen),
     /// the DLQ pool, and the ack log.
     pub sync: SyncPolicy,
-    /// Ack-log compaction floor (see [`LeaseConfig::compact_after`]).
+    /// Ack-log segment rotation threshold (see
+    /// [`LeaseConfig::compact_after`]).
     pub compact_after: u64,
     /// Size of the dead-letter queue's pool file in bytes.
     pub dlq_bytes: usize,
@@ -66,7 +73,7 @@ impl Default for LeaseDirConfig {
             lease_timeout: Duration::from_secs(30),
             max_deliveries: 8,
             sync: SyncPolicy::default(),
-            compact_after: 4096,
+            compact_after: DEFAULT_ROTATE_RECORDS,
             dlq_bytes: 8 << 20,
         }
     }
@@ -84,7 +91,7 @@ impl LeaseDirConfig {
 
 /// Creates a fresh leased deployment in `dir`: the sharded base queue
 /// (via [`RecoveryOrchestrator::create_dir`]), a dead-letter queue of the
-/// same algorithm on its own pool file, and a fresh ack log.
+/// same algorithm on its own pool file, and a fresh ack-log segment chain.
 pub fn create_leased_dir<Q: RecoverableQueue + 'static>(
     orch: &RecoveryOrchestrator,
     dir: &Path,
@@ -116,6 +123,8 @@ pub fn create_leased_dir<Q: RecoverableQueue + 'static>(
 /// repaired instead of redelivered, keeping the exactly-once guarantee
 /// through the packaged directory API. Pass `None` for plain
 /// at-least-once deployments.
+///
+/// Fails with `InvalidData` if `dir` holds an older build's `LEASES.log`.
 pub fn open_leased_dir<Q: RecoverableQueue + 'static>(
     orch: &RecoveryOrchestrator,
     dir: &Path,
@@ -268,10 +277,12 @@ pub fn open_grouped_dir<Q: RecoverableQueue + 'static>(
     });
     let (grouped, recs) = repaired?;
     report.phases.push(repair_phase);
-    report.groups = recs
-        .into_iter()
-        .map(|r| GroupRecovery {
-            name: r.name,
+    report.groups = group
+        .groups
+        .iter()
+        .zip(recs)
+        .map(|(name, r)| GroupRecovery {
+            name: name.clone(),
             unacked: r.unacked,
             redelivered: r.redelivered,
             dead_lettered: r.dead_lettered,

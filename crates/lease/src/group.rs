@@ -1,64 +1,74 @@
-//! Consumer groups: N independent cursors over one queue, competing
-//! consumers within each.
+//! The lease engine: peek-lock consumer groups over one base queue.
 //!
 //! A [`GroupedQueue`] wraps a base queue so that *every* group sees every
 //! item (publish/subscribe between groups) while consumers *within* a
 //! group compete for items (work-sharing within a group) — the two
 //! consumption shapes Gray's "Queues Are Databases" composes and every
-//! production broker ships. Each group owns:
+//! production broker ships. A plain [`LeasedQueue`](crate::LeasedQueue) is
+//! this engine with exactly one group. Each group owns:
 //!
-//! * a **[`SegmentedLog`]** in `groups/<name>/` — the same 40-byte CRC'd
-//!   records as the single-consumer ack log, but rotating segments replace
-//!   whole-file compaction (see the [`segments`](crate::segments) docs),
+//! * a **[`SegmentedLog`]** in `groups/<name>/` (a `LeasedQueue`'s one
+//!   group keeps it in its own directory) — 40-byte CRC'd records in
+//!   rotating segments (see the [`segments`](crate::segments) docs),
 //! * its **own in-memory lease state behind its own lock** — competing
 //!   consumers of group A never contend with group B's,
 //! * its own dead-letter queue and delivery accounting.
 //!
-//! # Dispatch: the fan-out commit discipline
+//! # Dispatch: the pop→GRANT commit discipline
 //!
 //! The base queue consumes destructively, so an item popped for one group
-//! would be lost to the rest on a crash. Dispatch therefore pops under a
-//! dedicated dispatch lock and immediately appends one durable `PEND`
-//! record — "this item awaits its first delivery" — to **each** group's
-//! log before any consumer sees it. Replay already treats `PEND` as an
-//! upsert that may precede any grant, so the per-group delivery cursor is
-//! implicit in the per-group log, and recovery needs no new machinery. A
-//! crash mid-fan-out loses the in-transit item only for the groups whose
-//! `PEND` had not landed — the same ≤ 1 in-transit item window the
-//! single-consumer layer documents for its pop-to-grant gap, now per
-//! group.
+//! would be lost to the rest on a crash. When a consumer finds its group's
+//! pending set dry, it pops the base item itself and, before any consumer
+//! sees the item, appends one durable record to **each** group's log, in
+//! stripe order: a `GRANT` (`prev` = 0) straight into its own group's log,
+//! and a `PEND` — "this item awaits its first delivery" — into every other
+//! group's. Replay treats `PEND` as an upsert that may precede any grant,
+//! so the per-group delivery cursor is implicit in the per-group log and
+//! recovery needs no extra machinery. With one group, a fresh item
+//! therefore costs exactly one `GRANT` and one `ACK`.
 //!
-//! Grants then always come from the group's pending set (`GRANT` with
-//! `prev` = the pend's lease id), under that group's lock only: the
-//! dispatch lock serialises base pops, not settlement, so grant/ack
-//! throughput scales with groups instead of flatlining on one mutex.
+//! The one unprotected window is inherent to a destructive base queue: a
+//! crash between the base pop and a group's record loses that single
+//! in-transit item for the groups whose record had not landed — never an
+//! item any consumer has seen. Closing it would need a non-destructive
+//! base (peek support), which none of the paper's algorithms have.
+//!
+//! With more than one group the pop and the fan-out run under a dedicated
+//! dispatch lock, so every group receives items in pop order; a single
+//! group pops without it. Grants of pending items (redeliveries, and
+//! items other groups' consumers dispatched) come from the group's pending
+//! set (`GRANT` with `prev` = the pending lease's id) under that group's
+//! lock only, so grant/ack throughput scales with groups instead of
+//! flatlining on one mutex.
 //!
 //! Lease ids are **per group** (each group's log is its own id space with
 //! its own generation); the exactly-once cursor addresses stripes by
 //! `(group, tid)` so the same consumer thread can ack in several groups
 //! without clobbering its repair window.
 
-use crate::log::{Record, RecordKind};
-use crate::queue::{push_deadline, DeadlineHeap, Lease, LeaseError, Redelivery};
+use crate::log::{IdMap, IdSet, Record, RecordKind};
+use crate::queue::{Lease, LeaseError, LeaseStats, RecoveredLeases, Redelivery};
 use crate::segments::{SegmentedLog, DEFAULT_ROTATE_RECORDS};
 use durable_queues::{DurableQueue, KeyedQueue};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
-static DISPATCHES: LazyCounter = LazyCounter::new("lease.group.dispatch");
-static GRANTS: LazyCounter = LazyCounter::new("lease.group.grant");
-static ACKS: LazyCounter = LazyCounter::new("lease.group.ack");
-static NACKS: LazyCounter = LazyCounter::new("lease.group.nack");
-static EXPIRIES: LazyCounter = LazyCounter::new("lease.group.expire");
-static DEAD: LazyCounter = LazyCounter::new("lease.group.dead");
+// Settlement instruments, mirroring the volatile `LeaseStats` (which reset
+// on recovery) with process-global monotonic counters the exporters read.
+static DISPATCHES: LazyCounter = LazyCounter::new("lease.dispatch");
+static GRANTS: LazyCounter = LazyCounter::new("lease.grant");
+static ACKS: LazyCounter = LazyCounter::new("lease.ack");
+static NACKS: LazyCounter = LazyCounter::new("lease.nack");
+static EXPIRIES: LazyCounter = LazyCounter::new("lease.expire");
+static DEAD: LazyCounter = LazyCounter::new("lease.dead");
 
 /// Directory (inside a grouped deployment) holding one subdirectory per
 /// consumer group.
@@ -127,8 +137,11 @@ impl GroupConfig {
         self
     }
 
-    fn group_dir(&self, name: &str) -> PathBuf {
-        self.dir.join(GROUPS_DIR).join(name)
+    /// Each group's segment directory, `dir/groups/<name>/`, in stripe
+    /// order.
+    fn group_dirs(&self) -> Vec<PathBuf> {
+        let groups = self.dir.join(GROUPS_DIR);
+        self.groups.iter().map(|name| groups.join(name)).collect()
     }
 
     fn validate(&self, dlqs: &[Option<Arc<dyn DurableQueue>>]) -> io::Result<()> {
@@ -181,61 +194,9 @@ impl GroupConfig {
     }
 }
 
-/// Volatile per-group counters since creation/recovery (the segment logs
-/// are the durable record).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GroupStats {
-    /// Items fanned out into this group's pending set by dispatch.
-    pub dispatched: u64,
-    /// Leases granted (fresh + redeliveries).
-    pub granted: u64,
-    /// Grants that were redeliveries (`delivery_count > 1`).
-    pub redelivered: u64,
-    /// Leases acked.
-    pub acked: u64,
-    /// Leases explicitly nacked.
-    pub nacked: u64,
-    /// Leases reaped after their deadline passed.
-    pub expired: u64,
-    /// Items moved to this group's dead-letter queue.
-    pub dead_lettered: u64,
-    /// Exactly-once acks that committed after their lease had been reaped
-    /// *and* regranted (the documented at-least-once degradation window).
-    pub late_acks: u64,
-    /// Segment rotations since creation/recovery.
-    pub rotations: u64,
-    /// Segments retired (unlinked) since creation/recovery.
-    pub segments_retired: u64,
-    /// Valid records across the group's surviving segments.
-    pub log_records: u64,
-    /// Segment files currently on disk.
-    pub segments: u32,
-}
-
-/// What grouped recovery reconstructed for one group.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GroupRecovered {
-    /// The group's name.
-    pub name: String,
-    /// Leases in a consumer's hands at the crash, requeued with an
-    /// incremented delivery count.
-    pub unacked: u64,
-    /// Total items requeued for redelivery in this group.
-    pub redelivered: u64,
-    /// Items dead-lettered during recovery (next delivery would exceed the
-    /// budget).
-    pub dead_lettered: u64,
-    /// Leases retired because the exactly-once cursor stripe proved their
-    /// ack transaction committed.
-    pub tx_acked: u64,
-    /// Valid segment-log records replayed.
-    pub log_records: u64,
-    /// Segment files present after replay.
-    pub segments: u32,
-    /// Already-retired segment files deleted on open (interrupted
-    /// retirement roll-forward).
-    pub retired_leftovers: u32,
-}
+/// Lease expiry order, earliest first, with lazy deletion: an entry is
+/// live iff the lease is still in flight with exactly this deadline.
+type DeadlineHeap = BinaryHeap<Reverse<(Instant, u64)>>;
 
 struct InFlight {
     item: u64,
@@ -245,36 +206,150 @@ struct InFlight {
 
 struct PendingItem {
     /// The lease this delivery supersedes (the `GRANT.prev` linkage; for a
-    /// fresh dispatch, the `PEND` record's own id).
+    /// dispatched item, the `PEND` record's own id; `0` for a fresh pop
+    /// granted directly).
     prev: u64,
     item: u64,
+    /// Count the next grant will carry.
     delivery_count: u32,
 }
 
 struct GroupState {
     log: SegmentedLog,
-    inflight: HashMap<u64, InFlight>,
-    /// Expiry order with lazy deletion, as in the single-consumer layer.
+    inflight: IdMap<InFlight>,
+    /// Expiry order (see [`DeadlineHeap`]).
     deadlines: DeadlineHeap,
     pending: VecDeque<PendingItem>,
     /// Leases whose exactly-once settlement transaction is running outside
-    /// the lock (see the single-consumer layer's settling discipline).
-    settling: HashSet<u64>,
+    /// the lock: any other settlement attempt (ack, nack, or a second
+    /// exactly-once ack) must see `NotInFlight` instead of racing it.
+    /// Expiry reaping deliberately still applies — the documented late-ack
+    /// window — so a wedged consumer transaction cannot strand the item.
+    settling: IdSet,
     next_id: u64,
-    stats: GroupStats,
+    stats: LeaseStats,
 }
 
 impl GroupState {
     fn fresh(log: SegmentedLog) -> Self {
         GroupState {
             log,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             deadlines: DeadlineHeap::new(),
             pending: VecDeque::new(),
-            settling: HashSet::new(),
-            // Id 0 stays reserved, as in the single-consumer layer.
+            settling: IdSet::default(),
+            // Lease id 0 is reserved: it is the "no previous lease"
+            // sentinel in GRANT records and the "nothing acked" sentinel
+            // in the exactly-once cursor.
             next_id: 1,
-            stats: GroupStats::default(),
+            stats: LeaseStats::default(),
+        }
+    }
+
+    /// Replays the group's log in `dir` and rebuilds its state: leases
+    /// granted at the crash are requeued with `delivery_count + 1`,
+    /// pending items keep their recorded next count, leases the cursor
+    /// stripe `tx_acked` proves acked get their lost `ACK` repaired, and
+    /// items whose next delivery would exceed the budget go to `dlq`.
+    fn recover(
+        dir: &Path,
+        config: &GroupConfig,
+        dlq: Option<&Arc<dyn DurableQueue>>,
+        tx_acked: impl FnOnce(u64) -> Vec<u64>,
+    ) -> io::Result<(Self, RecoveredLeases)> {
+        let (log, gr) = SegmentedLog::replay(dir, config.sync, config.rotate_records)?;
+        let mut st = GroupState::fresh(log);
+        st.next_id = gr.replay.next_lease_id.max(1);
+        let mut report = RecoveredLeases {
+            log_records: gr.replay.records,
+            segments: gr.segments,
+            retired_leftovers: gr.retired_leftovers,
+            ..RecoveredLeases::default()
+        };
+        let mut live = gr.replay.live;
+        for id in tx_acked(gr.replay.generation) {
+            if live.remove(&id).is_some() {
+                // The consumer's transaction committed; only the ack
+                // record was lost to the crash. Repair it.
+                st.log
+                    .append(&Record::terminal(RecordKind::Ack, id), st.next_id)?;
+                report.tx_acked += 1;
+            }
+        }
+        // BTreeMap iteration = lease-id order = grant order, so recovered
+        // redelivery preserves the original delivery order.
+        for (id, lease) in live {
+            let next = if lease.granted {
+                report.unacked += 1;
+                lease.delivery_count + 1
+            } else {
+                lease.delivery_count
+            };
+            if config.max_deliveries > 0 && next > config.max_deliveries {
+                dlq.expect("checked by validate").enqueue(0, lease.item);
+                st.log
+                    .append(&Record::terminal(RecordKind::Dead, id), st.next_id)?;
+                report.dead_lettered += 1;
+            } else {
+                st.pending.push_back(PendingItem {
+                    prev: id,
+                    item: lease.item,
+                    delivery_count: next,
+                });
+                report.redelivered += 1;
+            }
+        }
+        Ok((st, report))
+    }
+
+    /// Appends `rec` to the group's log.
+    ///
+    /// # Panics
+    /// If the append fails at the I/O level (see [`GroupedQueue`]).
+    fn append(&mut self, rec: &Record) {
+        if let Err(e) = self.log.append(rec, self.next_id) {
+            panic!(
+                "ack log append failed ({}): {e}; the log's durability is now \
+                 unknowable, restart and replay",
+                self.log.dir().display()
+            );
+        }
+    }
+
+    /// Allocates a lease id for `item` awaiting its first delivery here
+    /// and durably queues it (`PEND`) behind the pending set.
+    fn pend_fresh(&mut self, item: u64) {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.append(&Record {
+            kind: RecordKind::Pend,
+            delivery_count: 1,
+            lease_id: id,
+            item,
+            prev_lease_id: 0,
+        });
+        self.pending.push_back(PendingItem {
+            prev: id,
+            item,
+            delivery_count: 1,
+        });
+    }
+
+    /// Pushes lease `id`'s `deadline` (the lease must already be in
+    /// flight) and keeps the heap bounded. Settled leases leave their
+    /// entries behind until the deadline passes, so with a long timeout
+    /// the heap would grow with every grant; once it holds more than
+    /// `2 × in_flight + 64` entries it is rebuilt from the in-flight set.
+    /// A rebuild costs O(in_flight) and the next one is at least
+    /// `in_flight + 64` pushes away, so pushes stay amortized O(1).
+    fn push_deadline(&mut self, deadline: Instant, id: u64) {
+        self.deadlines.push(Reverse((deadline, id)));
+        if self.deadlines.len() > 2 * self.inflight.len() + 64 {
+            self.deadlines = self
+                .inflight
+                .iter()
+                .map(|(&id, f)| Reverse((f.deadline, id)))
+                .collect();
         }
     }
 }
@@ -289,16 +364,17 @@ struct GroupSlot {
 ///
 /// # Panics
 ///
-/// Like the single-consumer layer, consume-path methods panic if a
-/// segment-log append fails at the I/O level: a write of unknown
-/// durability makes every subsequent transition unsound, so the process
-/// must restart and replay.
+/// Consume-path methods panic if an ack-log append fails at the I/O
+/// level: a write of unknown durability would make every subsequent lease
+/// transition unsound, so (like a message store losing its WAL device) the
+/// process must restart and replay. Constructors return `io::Result`
+/// instead, since nothing is in flight yet.
 pub struct GroupedQueue<Q: DurableQueue> {
     base: Q,
-    /// Serialises destructive base pops so each popped item is fanned out
-    /// to every group exactly once. Never held while a group lock is
-    /// *entered by settlement paths* — only dispatch takes group locks
-    /// under it, one at a time, in stripe order.
+    /// Serialises destructive base pops when there are several groups, so
+    /// each popped item reaches every group exactly once and in pop order.
+    /// Settlement paths never take it; dispatch takes group locks under
+    /// it, one at a time, in stripe order.
     dispatch: Mutex<()>,
     lease_timeout: Duration,
     max_deliveries: u32,
@@ -315,31 +391,32 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
         config: GroupConfig,
     ) -> io::Result<Self> {
+        let dirs = config.group_dirs();
+        Self::create_in(base, dlqs, &config, dirs)
+    }
+
+    /// [`create`](Self::create) with each group's log in `dirs[group]`.
+    pub(crate) fn create_in(
+        base: Q,
+        dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
+        config: &GroupConfig,
+        dirs: Vec<PathBuf>,
+    ) -> io::Result<Self> {
         config.validate(&dlqs)?;
-        let mut groups = Vec::with_capacity(config.groups.len());
-        for (name, dlq) in config.groups.iter().zip(dlqs) {
-            let log =
-                SegmentedLog::create(&config.group_dir(name), config.sync, config.rotate_records)?;
-            groups.push(GroupSlot {
-                name: name.clone(),
-                dlq,
-                state: Mutex::new(GroupState::fresh(log)),
-            });
+        let mut states = Vec::with_capacity(dirs.len());
+        for dir in &dirs {
+            let log = SegmentedLog::create(dir, config.sync, config.rotate_records)?;
+            states.push(GroupState::fresh(log));
         }
-        Ok(GroupedQueue {
-            base,
-            dispatch: Mutex::new(()),
-            lease_timeout: config.lease_timeout,
-            max_deliveries: config.max_deliveries,
-            groups,
-        })
+        Ok(Self::assemble(base, dlqs, config, states))
     }
 
     /// Reopens a grouped queue after a restart, replaying every group's
     /// segment directory independently: leases granted at the crash are
     /// requeued with `delivery_count + 1`, pending items keep their
     /// recorded next count, and items whose next delivery would exceed the
-    /// budget go to the group's dead-letter queue.
+    /// budget go to the group's dead-letter queue. Returns one report per
+    /// group, in stripe order.
     ///
     /// `cursor` is the deployment's exactly-once engine, when it has one
     /// (created with at least as many stripes as there are groups): each
@@ -351,7 +428,19 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
         config: GroupConfig,
         cursor: Option<&crate::tx::ExactlyOnce>,
-    ) -> io::Result<(Self, Vec<GroupRecovered>)> {
+    ) -> io::Result<(Self, Vec<RecoveredLeases>)> {
+        let dirs = config.group_dirs();
+        Self::recover_in(base, dlqs, &config, dirs, cursor)
+    }
+
+    /// [`recover`](Self::recover) with each group's log in `dirs[group]`.
+    pub(crate) fn recover_in(
+        base: Q,
+        dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
+        config: &GroupConfig,
+        dirs: Vec<PathBuf>,
+        cursor: Option<&crate::tx::ExactlyOnce>,
+    ) -> io::Result<(Self, Vec<RecoveredLeases>)> {
         config.validate(&dlqs)?;
         if let Some(eo) = cursor {
             if eo.groups() < config.groups.len() {
@@ -366,91 +455,45 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
                 ));
             }
         }
-        let mut groups = Vec::with_capacity(config.groups.len());
-        let mut reports = Vec::with_capacity(config.groups.len());
-        for (gi, (name, dlq)) in config.groups.iter().zip(dlqs).enumerate() {
-            let (mut log, gr) =
-                SegmentedLog::replay(&config.group_dir(name), config.sync, config.rotate_records)?;
-            let mut report = GroupRecovered {
-                name: name.clone(),
-                log_records: gr.replay.records,
-                segments: gr.segments,
-                retired_leftovers: gr.retired_leftovers,
-                ..GroupRecovered::default()
+        let mut states = Vec::with_capacity(dirs.len());
+        let mut reports = Vec::with_capacity(dirs.len());
+        for (gi, (dir, dlq)) in dirs.iter().zip(&dlqs).enumerate() {
+            let tx_acked = |generation| {
+                cursor
+                    .map(|eo| eo.acked_ids_in(gi, generation))
+                    .unwrap_or_default()
             };
-            let mut live = gr.replay.live;
-            let next_id = gr.replay.next_lease_id.max(1);
-            if let Some(eo) = cursor {
-                for id in eo.acked_ids_in(gi, gr.replay.generation) {
-                    if live.remove(&id).is_some() {
-                        // The consumer's transaction committed; only this
-                        // group's sidecar ack record was lost. Repair it.
-                        log.append(
-                            &Record {
-                                kind: RecordKind::Ack,
-                                delivery_count: 0,
-                                lease_id: id,
-                                item: 0,
-                                prev_lease_id: 0,
-                            },
-                            next_id,
-                        )?;
-                        report.tx_acked += 1;
-                    }
-                }
-            }
-            let mut pending = VecDeque::new();
-            // BTreeMap iteration = lease-id order = grant order.
-            for (id, lease) in live {
-                let next = if lease.granted {
-                    report.unacked += 1;
-                    lease.delivery_count + 1
-                } else {
-                    lease.delivery_count
-                };
-                if config.max_deliveries > 0 && next > config.max_deliveries {
-                    let dlq = dlq.as_ref().expect("checked by validate");
-                    dlq.enqueue(0, lease.item);
-                    log.append(
-                        &Record {
-                            kind: RecordKind::Dead,
-                            delivery_count: 0,
-                            lease_id: id,
-                            item: 0,
-                            prev_lease_id: 0,
-                        },
-                        next_id,
-                    )?;
-                    report.dead_lettered += 1;
-                } else {
-                    pending.push_back(PendingItem {
-                        prev: id,
-                        item: lease.item,
-                        delivery_count: next,
-                    });
-                    report.redelivered += 1;
-                }
-            }
-            let mut state = GroupState::fresh(log);
-            state.pending = pending;
-            state.next_id = next_id;
-            groups.push(GroupSlot {
+            let (state, report) = GroupState::recover(dir, config, dlq.as_ref(), tx_acked)?;
+            states.push(state);
+            reports.push(report);
+        }
+        Ok((Self::assemble(base, dlqs, config, states), reports))
+    }
+
+    fn assemble(
+        base: Q,
+        dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
+        config: &GroupConfig,
+        states: Vec<GroupState>,
+    ) -> Self {
+        let groups = config
+            .groups
+            .iter()
+            .zip(dlqs)
+            .zip(states)
+            .map(|((name, dlq), state)| GroupSlot {
                 name: name.clone(),
                 dlq,
                 state: Mutex::new(state),
-            });
-            reports.push(report);
+            })
+            .collect();
+        GroupedQueue {
+            base,
+            dispatch: Mutex::new(()),
+            lease_timeout: config.lease_timeout,
+            max_deliveries: config.max_deliveries,
+            groups,
         }
-        Ok((
-            GroupedQueue {
-                base,
-                dispatch: Mutex::new(()),
-                lease_timeout: config.lease_timeout,
-                max_deliveries: config.max_deliveries,
-                groups,
-            },
-            reports,
-        ))
     }
 
     // ------------------------------------------------------------------
@@ -515,90 +558,60 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     // Consume side (via ConsumerGroup)
     // ------------------------------------------------------------------
 
-    /// Pops one item from the base queue and durably fans it out: one
-    /// `PEND` + in-memory pending entry per group, in stripe order.
-    /// Returns `false` when the base queue is empty. Caller holds the
-    /// dispatch lock.
-    fn fan_out_one(&self, tid: usize) -> bool {
+    fn dequeue_in(&self, group: usize, tid: usize) -> Option<Lease> {
+        let now = Instant::now();
+        {
+            let mut st = self.groups[group].state.lock();
+            self.reap_locked(group, &mut st, tid, now);
+            if let Some(p) = st.pending.pop_front() {
+                return Some(self.grant_locked(&mut st, now, p));
+            }
+        }
+        // Pending is dry: pop a fresh item and hand it to every group (see
+        // the module docs).
+        let dispatch = (self.groups.len() > 1).then(|| self.dispatch.lock());
         let Some(item) = self.base.dequeue(tid) else {
-            return false;
+            drop(dispatch);
+            // The base is empty, but a racing dispatcher or settlement may
+            // have refilled our pending set between the two lock scopes.
+            let mut st = self.groups[group].state.lock();
+            let p = st.pending.pop_front()?;
+            return Some(self.grant_locked(&mut st, now, p));
         };
-        for slot in &self.groups {
+        let mut lease = None;
+        for (gi, slot) in self.groups.iter().enumerate() {
             let mut st = slot.state.lock();
-            let id = st.next_id;
-            st.next_id += 1;
-            let next_id = st.next_id;
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Pend,
-                    delivery_count: 1,
-                    lease_id: id,
-                    item,
-                    prev_lease_id: 0,
-                },
-                next_id,
-            );
-            st.pending.push_back(PendingItem {
-                prev: id,
-                item,
-                delivery_count: 1,
-            });
             st.stats.dispatched += 1;
+            let own = gi == group;
+            // Our own group's pending set may have refilled meanwhile: its
+            // items go first, and the fresh one queues behind them.
+            if !own || !st.pending.is_empty() {
+                st.pend_fresh(item);
+            }
+            if own {
+                let p = st.pending.pop_front().unwrap_or(PendingItem {
+                    prev: 0,
+                    item,
+                    delivery_count: 1,
+                });
+                lease = Some(self.grant_locked(&mut st, now, p));
+            }
         }
         DISPATCHES.incr();
         obs::flight::record(EventKind::LeaseDispatch, item, self.groups.len() as u64);
-        true
+        lease
     }
 
-    fn dequeue_in(&self, group: usize, tid: usize) -> Option<Lease> {
-        loop {
-            let now = Instant::now();
-            {
-                let mut st = self.groups[group].state.lock();
-                self.reap_locked(group, &mut st, tid, now);
-                if let Some(p) = st.pending.pop_front() {
-                    return Some(self.grant_locked(group, &mut st, now, p));
-                }
-            }
-            // Pending is dry: pull one item from the base queue for every
-            // group, then loop to compete for our group's copy.
-            let dispatched = {
-                let _d = self.dispatch.lock();
-                self.fan_out_one(tid)
-            };
-            if !dispatched {
-                // The base is empty, but a racing dispatcher may have
-                // fanned out between our two lock scopes.
-                let mut st = self.groups[group].state.lock();
-                self.reap_locked(group, &mut st, tid, now);
-                let p = st.pending.pop_front()?;
-                return Some(self.grant_locked(group, &mut st, now, p));
-            }
-        }
-    }
-
-    fn grant_locked(
-        &self,
-        group: usize,
-        st: &mut GroupState,
-        now: Instant,
-        p: PendingItem,
-    ) -> Lease {
+    fn grant_locked(&self, st: &mut GroupState, now: Instant, p: PendingItem) -> Lease {
         let id = st.next_id;
         st.next_id += 1;
-        let next_id = st.next_id;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Grant,
-                delivery_count: p.delivery_count,
-                lease_id: id,
-                item: p.item,
-                prev_lease_id: p.prev,
-            },
-            next_id,
-        );
+        st.append(&Record {
+            kind: RecordKind::Grant,
+            delivery_count: p.delivery_count,
+            lease_id: id,
+            item: p.item,
+            prev_lease_id: p.prev,
+        });
         let deadline = now + self.lease_timeout;
         st.inflight.insert(
             id,
@@ -608,20 +621,13 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
                 deadline,
             },
         );
-        push_deadline(
-            &mut st.deadlines,
-            deadline,
-            id,
-            st.inflight.len(),
-            st.inflight.iter().map(|(&id, f)| (f.deadline, id)),
-        );
+        st.push_deadline(deadline, id);
         st.stats.granted += 1;
         GRANTS.incr();
         obs::flight::record(EventKind::LeaseGrant, id, p.item);
         if p.delivery_count > 1 {
             st.stats.redelivered += 1;
         }
-        let _ = group;
         Lease {
             id,
             item: p.item,
@@ -633,20 +639,11 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     fn ack_in(&self, group: usize, lease: &Lease) -> Result<(), LeaseError> {
         let mut st = self.groups[group].state.lock();
         if st.settling.contains(&lease.id) || st.inflight.remove(&lease.id).is_none() {
+            // Settling: an exactly-once transaction owns this lease's
+            // settlement; racing it would double-settle.
             return Err(LeaseError::NotInFlight);
         }
-        let next_id = st.next_id;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-            next_id,
-        );
+        st.append(&Record::terminal(RecordKind::Ack, lease.id));
         st.stats.acked += 1;
         ACKS.incr();
         obs::flight::record(EventKind::LeaseAck, lease.id, 0);
@@ -704,6 +701,8 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         reaped
     }
 
+    /// An item came back (nack or expiry): requeue it for redelivery, or
+    /// dead-letter it if the next delivery would exceed the budget.
     fn settle_returned(
         &self,
         group: usize,
@@ -713,43 +712,29 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         item: u64,
         delivery_count: u32,
     ) -> Redelivery {
-        let next_id = st.next_id;
         if self.max_deliveries > 0 && delivery_count >= self.max_deliveries {
-            // DLQ enqueue first, DEAD record second — the same duplicate-
-            // not-lose ordering as the single-consumer layer.
+            // DLQ enqueue first, DEAD record second: a crash between the
+            // two duplicates into the DLQ (at-least-once) instead of
+            // losing the item.
             let dlq = self.groups[group]
                 .dlq
                 .as_ref()
                 .expect("checked by validate");
             dlq.enqueue(tid, item);
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Dead,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                },
-                next_id,
-            );
+            st.append(&Record::terminal(RecordKind::Dead, id));
             st.stats.dead_lettered += 1;
             DEAD.incr();
             obs::flight::record(EventKind::LeaseDead, id, item);
             Redelivery::DeadLettered
         } else {
             let next = delivery_count + 1;
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Pend,
-                    delivery_count: next,
-                    lease_id: id,
-                    item,
-                    prev_lease_id: 0,
-                },
-                next_id,
-            );
+            st.append(&Record {
+                kind: RecordKind::Pend,
+                delivery_count: next,
+                lease_id: id,
+                item,
+                prev_lease_id: 0,
+            });
             st.pending.push_back(PendingItem {
                 prev: id,
                 item,
@@ -761,14 +746,15 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         }
     }
 
-    fn stats_in(&self, group: usize) -> GroupStats {
+    fn stats_in(&self, group: usize) -> LeaseStats {
         let st = self.groups[group].state.lock();
-        let mut s = st.stats;
-        s.rotations = st.log.rotations();
-        s.segments_retired = st.log.retired();
-        s.log_records = st.log.records();
-        s.segments = st.log.segments();
-        s
+        LeaseStats {
+            rotations: st.log.rotations(),
+            compactions: st.log.retired(),
+            log_records: st.log.records(),
+            segments: st.log.segments(),
+            ..st.stats
+        }
     }
 
     fn ack_exactly_once_in<R>(
@@ -779,9 +765,9 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         eo: &crate::tx::ExactlyOnce,
         body: impl FnOnce(&mut ptm::Tx<'_>) -> R,
     ) -> Result<R, LeaseError> {
-        // Validate the cursor address before anything runs or is marked
-        // settling (the single-consumer layer's tid fix, plus the stripe
-        // bound the (group, tid) addressing adds).
+        // Validate the cursor address before taking any lock or marking
+        // anything settling, so an invalid address surfaces here instead
+        // of as an assert inside the transaction after `body` ran.
         if tid >= pmem::MAX_THREADS {
             return Err(LeaseError::ThreadOutOfRange {
                 tid,
@@ -806,7 +792,11 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
             st.settling.insert(lease.id);
             st.log.generation()
         };
-        let mut mark = GroupSettlingMark {
+        // The mark must come off even if `body` unwinds, or the lease could
+        // never be settled again; on the normal path it is removed under
+        // the same lock that settles, so no second settlement can slip in
+        // between transaction commit and settlement.
+        let mut mark = SettlingMark {
             state,
             id: lease.id,
             armed: true,
@@ -818,28 +808,20 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
         if st.inflight.remove(&lease.id).is_some() {
             st.stats.acked += 1;
         } else if let Some(pos) = st.pending.iter().position(|p| p.prev == lease.id) {
-            // Expired mid-transaction but not regranted: the committed ack
-            // wins, cancel the redelivery.
+            // Expired mid-transaction but not yet regranted: the committed
+            // ack wins, cancel the redelivery.
             st.pending.remove(pos);
             st.stats.acked += 1;
         } else {
+            // Regranted to another consumer before our commit: that grant
+            // retired this lease id, so there is nothing left to ack — the
+            // item will be delivered again despite the committed work.
             st.stats.late_acks += 1;
             return Ok(out);
         }
         ACKS.incr();
         obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        let next_id = st.next_id;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-            next_id,
-        );
+        st.append(&Record::terminal(RecordKind::Ack, lease.id));
         Ok(out)
     }
 }
@@ -853,28 +835,19 @@ impl<Q: KeyedQueue> GroupedQueue<Q> {
 }
 
 /// Removes a lease's *settling* mark on unwind; disarmed on the normal
-/// path (the group twin of the single-consumer layer's mark).
-struct GroupSettlingMark<'a> {
+/// path, where `ack_exactly_once_in` removes the mark itself under the
+/// settlement lock.
+struct SettlingMark<'a> {
     state: &'a Mutex<GroupState>,
     id: u64,
     armed: bool,
 }
 
-impl Drop for GroupSettlingMark<'_> {
+impl Drop for SettlingMark<'_> {
     fn drop(&mut self) {
         if self.armed {
             self.state.lock().settling.remove(&self.id);
         }
-    }
-}
-
-fn append_or_die(log: &mut SegmentedLog, rec: &Record, next_lease_id: u64) {
-    if let Err(e) = log.append(rec, next_lease_id) {
-        panic!(
-            "segment log append failed ({}): {e}; the log's durability is now \
-             unknowable, restart and replay",
-            log.dir().display()
-        );
     }
 }
 
@@ -910,42 +883,72 @@ impl<Q: DurableQueue> ConsumerGroup<Q> {
         &self.shared
     }
 
-    /// Grants a lease on this group's next item: redeliveries first, then
-    /// the group's share of fresh dispatches from the base queue. Returns
-    /// `None` when both the group's pending set and the base queue are
-    /// empty. Competing consumers of the same group each see a disjoint
+    /// Grants a lease on this group's next item: pending items first
+    /// (redeliveries and other groups' dispatches, in lease-id order),
+    /// then a fresh pop from the base queue. Returns `None` when both the
+    /// group's pending set and the base queue are empty. Expired leases
+    /// are reaped first, so a single consumer loop observes its own
+    /// timeouts. Competing consumers of the same group each see a disjoint
     /// subset of items; other groups' cursors are unaffected.
+    ///
+    /// The grant record is durable (`msync`'d under the power-fail tier)
+    /// before the lease is returned, so no item a consumer *observed* can
+    /// be lost to a crash; the in-transit window of a fresh pop is in the
+    /// [module docs](self).
     pub fn dequeue(&self, tid: usize) -> Option<Lease> {
         self.shared.dequeue_in(self.group, tid)
     }
 
-    /// Durably retires `lease` within this group. Other groups' copies of
-    /// the item are untouched.
+    /// Durably retires `lease` within this group: the item is consumed
+    /// here and will never be redelivered to this group; other groups'
+    /// copies are untouched. Fails with [`LeaseError::NotInFlight`] if the
+    /// lease already settled or expired.
     pub fn ack(&self, lease: &Lease) -> Result<(), LeaseError> {
         self.shared.ack_in(self.group, lease)
     }
 
-    /// Returns `lease` unprocessed: requeued for redelivery within this
-    /// group, or dead-lettered past the budget.
+    /// Returns `lease` unprocessed: the item is requeued for redelivery
+    /// within this group with `delivery_count + 1`, or dead-lettered if
+    /// that would exceed the budget. `tid` is the caller's thread id on
+    /// the dead-letter queue.
     pub fn nack(&self, tid: usize, lease: &Lease) -> Result<Redelivery, LeaseError> {
         self.shared.nack_in(self.group, tid, lease)
     }
 
-    /// Reaps this group's expired leases (also runs at the start of every
-    /// [`dequeue`](Self::dequeue)). Returns the number reaped.
+    /// Reaps every lease of this group whose deadline has passed,
+    /// requeueing (or dead-lettering) the items exactly as
+    /// [`nack`](Self::nack) would. Runs implicitly at the start of every
+    /// [`dequeue`](Self::dequeue); call it directly to observe timeouts
+    /// without consuming. Returns the number of leases reaped.
     pub fn reap_expired(&self, tid: usize) -> usize {
         self.shared.reap_in(self.group, tid)
     }
 
-    /// Acks `lease` and the consumer's own writes in one redo-log
-    /// transaction, on this group's `(group, tid)` cursor stripe — the
-    /// grouped form of
-    /// [`LeasedQueue::ack_exactly_once`](crate::LeasedQueue::ack_exactly_once),
-    /// with the same settling discipline and late-ack window.
+    /// Acks `lease` and applies the consumer's own writes in **one**
+    /// redo-log transaction — the exactly-once handoff. `body` runs inside
+    /// the transaction (use [`Tx::write`](ptm::Tx::write) for the
+    /// consumer's state); the transaction additionally records `lease.id`
+    /// in this group's `(group, tid)` exactly-once cursor entry, so its
+    /// commit point settles the ack and the consumer's state atomically.
+    /// After commit the ack record is appended; if a crash swallows that
+    /// append, recovery reads the cursor and repairs it — the item is
+    /// **not** redelivered.
     ///
     /// Fails with [`LeaseError::ThreadOutOfRange`] /
-    /// [`LeaseError::GroupOutOfRange`] — before anything runs — if the
-    /// `(group, tid)` pair does not address a stripe of `eo`.
+    /// [`LeaseError::GroupOutOfRange`] — before anything runs, marks, or
+    /// commits — if the `(group, tid)` pair does not address a stripe of
+    /// `eo`.
+    ///
+    /// Fails with [`LeaseError::NotInFlight`] *before* running `body` if
+    /// the lease already settled — including when another settlement
+    /// (`ack`, `nack`, or a concurrent `ack_exactly_once`) already owns it:
+    /// the lease is marked *settling* under the lock before the transaction
+    /// starts, so at most one settlement body ever runs per lease and a
+    /// racing caller's side effects are never applied twice. If the lease
+    /// expires while the transaction runs, the committed work stands; when
+    /// the item has not been regranted yet the ack still wins (the pending
+    /// redelivery is cancelled), otherwise the handoff degrades to
+    /// at-least-once for this item (counted in [`LeaseStats::late_acks`]).
     pub fn ack_exactly_once<R>(
         &self,
         tid: usize,
@@ -959,7 +962,7 @@ impl<Q: DurableQueue> ConsumerGroup<Q> {
 
     /// Volatile counters since creation/recovery, segment accounting
     /// included.
-    pub fn stats(&self) -> GroupStats {
+    pub fn stats(&self) -> LeaseStats {
         self.shared.stats_in(self.group)
     }
 
@@ -979,13 +982,8 @@ impl<Q: DurableQueue> ConsumerGroup<Q> {
     }
 }
 
-/// The group directory of a grouped deployment rooted at `dir`.
-pub fn groups_dir(dir: &Path) -> PathBuf {
-    dir.join(GROUPS_DIR)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tx::ExactlyOnce;
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
@@ -1015,32 +1013,40 @@ mod tests {
         (0..n).map(|_| None).collect()
     }
 
+    /// The lease ids in `group`'s deadline heap, stale entries included.
+    pub(crate) fn deadline_ids<Q: DurableQueue>(group: &ConsumerGroup<Q>) -> Vec<u64> {
+        let st = group.shared.groups[group.group].state.lock();
+        st.deadlines.iter().map(|Reverse((_, id))| *id).collect()
+    }
+
     #[test]
     fn deadline_heap_stays_bounded_by_the_in_flight_set() {
-        // The single-consumer layer's bound, per group: 10k grant→ack
-        // cycles under an hour-long timeout never expire anything, so
-        // only the rebuild keeps the heap from growing with every grant.
+        // Acked leases leave lazily deleted heap entries behind until their
+        // timeout; 10k grant→ack cycles under an hour-long timeout never
+        // expire anything, so only the rebuild keeps the heap from growing
+        // with every grant.
         let dir = tmp("deadline-bound");
         let cfg = GroupConfig::new(&dir, ["a"]).with_timeout(Duration::from_secs(3600));
         let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), cfg).unwrap());
         let a = q.group("a").unwrap();
         q.enqueue(0, 1);
-        let _held = a.dequeue(0).unwrap();
+        let held = a.dequeue(0).unwrap();
         for i in 0..10_000u64 {
             q.enqueue(0, i);
             let l = a.dequeue(0).unwrap();
             a.ack(&l).unwrap();
-            let st = q.groups[0].state.lock();
             // Checked at each grant, when this cycle's lease was in flight.
-            let bound = 2 * (st.inflight.len() + 1) + 64;
+            let bound = 2 * (a.in_flight() + 1) + 64;
+            let heap = deadline_ids(&a).len();
             assert!(
-                st.deadlines.len() <= bound,
-                "after {i} cycles: {} heap entries for {} in flight",
-                st.deadlines.len(),
-                st.inflight.len()
+                heap <= bound,
+                "after {i} cycles: {heap} heap entries for {} in flight",
+                a.in_flight()
             );
         }
         assert_eq!(a.in_flight(), 1);
+        // The rebuilt heap still expires what is really in flight.
+        assert!(deadline_ids(&a).contains(&held.id));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1179,10 +1185,9 @@ mod tests {
         let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, None).unwrap();
         let q = Arc::new(q);
         assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].name, "a");
+        assert_eq!(q.group_names(), ["a", "b"]);
         assert_eq!(reports[0].unacked, 2);
         assert_eq!(reports[0].redelivered, 2);
-        assert_eq!(reports[1].name, "b");
         assert_eq!(reports[1].unacked, 0);
         assert_eq!(reports[1].redelivered, 0, "b's settled items resurrected");
 
@@ -1216,7 +1221,7 @@ mod tests {
             }
             let s = g.stats();
             assert!(s.rotations >= 2, "rotation never triggered: {s:?}");
-            assert!(s.segments_retired >= 1, "retirement never triggered: {s:?}");
+            assert!(s.compactions >= 1, "retirement never triggered: {s:?}");
             assert!(s.segments <= 3, "settled segments piled up: {s:?}");
         }
         let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(1), cfg, None).unwrap();
@@ -1248,8 +1253,7 @@ mod tests {
         }
         // Zero a's sidecar ACK to simulate the documented crash window:
         // the transaction committed, the segment append was lost.
-        let seg = dir.join(GROUPS_DIR).join("a").join("segment-0000.log");
-        let lost = crate::log::zero_last_record(&seg, crate::segments::SEGMENT_HEADER_LEN);
+        let lost = crate::log::tests::zero_last_record(&dir.join(GROUPS_DIR).join("a"));
         assert_eq!(lost.kind, RecordKind::Ack);
 
         let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, Some(&eo)).unwrap();

@@ -25,12 +25,16 @@
 //!                          dead-letter queue (DEAD)
 //! ```
 //!
-//! Every transition is one CRC'd record appended to a sidecar ack log
-//! (`LEASES.log`, [`log`] module). The log is a mapped, preallocated
+//! Every transition is one CRC'd record appended to the consumer group's
+//! ack log ([`log`] module): a chain of rotating segment files
+//! ([`segments`] module), each a mapped, preallocated
 //! [`store::RecordLog`], so an append is a copy into the page cache with
 //! no syscall — plus an `msync` of the record's page under the power-fail
-//! tier — and a restart replays the log and every lease without
-//! a terminal record becomes redeliverable with an incremented delivery
+//! tier. Once the active segment fills, the log rotates to a fresh one,
+//! and sealed segments that no longer hold a live lease are retired
+//! (unlinked) — the log's compaction, with no stop-the-world rewrite. A
+//! restart replays the surviving segments and every lease without a
+//! terminal record becomes redeliverable with an incremented delivery
 //! count: **at-least-once** delivery. Items that exhaust their delivery
 //! budget overflow to a dead-letter queue, itself a durable queue in the
 //! same directory.
@@ -39,26 +43,22 @@
 //! [`LeasedQueue::ack_exactly_once`] runs the consumer's own state
 //! transition and the ack in a single `crates/ptm` redo-log transaction,
 //! whose commit point settles both atomically; recovery repairs acks whose
-//! sidecar record was lost to the crash instead of redelivering.
+//! record was lost to the crash instead of redelivering.
 //!
-//! The [`group`] module generalises the consume side to **consumer
-//! groups**: a [`GroupedQueue`] fans every item out to N groups — each
-//! with an independent delivery cursor, so each group sees every item —
-//! while consumers *within* a group compete for disjoint subsets. Each
-//! group's transitions land in its own directory of rotating ack-log
-//! segments ([`segments`] module): same 40-byte records through the same
-//! `RecordLog` append, but segment
-//! rotation plus retirement of fully-settled segments replaces the
-//! single-file log's stop-the-world compaction, and the per-group locks
-//! keep competing consumers of different groups off each other's mutex.
-//! The exactly-once cursor stripes by `(group, tid)` so the same
-//! consumer thread can settle in several groups.
+//! One engine runs all of it: the [`group`] module's [`GroupedQueue`]
+//! fans every item out to N **consumer groups** — each with an
+//! independent delivery cursor, so each group sees every item — while
+//! consumers *within* a group compete for disjoint subsets, and each
+//! group's transitions land in its own segment chain behind its own lock.
+//! A [`LeasedQueue`] is that engine with one group, whose chain lives in
+//! the deployment directory itself. The exactly-once cursor stripes by
+//! `(group, tid)` so the same consumer thread can settle in several
+//! groups.
 //!
 //! [`dir`] packages the whole thing as one directory — sharded base
-//! queue, dead-letter pool(s), ack log or per-group segment directories —
-//! created and reopened as a unit, with lease-recovery counts reported
-//! through [`shard::RecoveryReport::lease`] and
-//! [`shard::RecoveryReport::groups`].
+//! queue, dead-letter pool(s), the ack log's segment chain(s) — created
+//! and reopened as a unit, with lease-recovery counts reported through
+//! [`shard::RecoveryReport::lease`] and [`shard::RecoveryReport::groups`].
 
 #![warn(missing_docs)]
 
@@ -73,8 +73,8 @@ pub use dir::{
     create_grouped_dir, create_leased_dir, open_grouped_dir, open_leased_dir, GroupDirConfig,
     LeaseDirConfig, OpenedGroupedDir, DLQ_POOL_FILE,
 };
-pub use group::{ConsumerGroup, GroupConfig, GroupRecovered, GroupStats, GroupedQueue, GROUPS_DIR};
-pub use log::{AckLog, Record, RecordKind, Replay, LEASE_LOG_FILE};
+pub use group::{ConsumerGroup, GroupConfig, GroupedQueue, GROUPS_DIR};
+pub use log::{Record, RecordKind, Replay, LEASE_LOG_FILE};
 pub use queue::{
     Lease, LeaseConfig, LeaseError, LeaseStats, LeasedQueue, RecoveredLeases, Redelivery,
 };

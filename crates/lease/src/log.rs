@@ -1,12 +1,13 @@
-//! The durable ack log behind peek-lock consumption.
+//! The ack-log record format behind peek-lock consumption.
 //!
-//! Every lease-state transition is one fixed-size, CRC-protected record
-//! appended to a sidecar file (`LEASES.log`) next to the queue's pool
-//! file(s) — the same enq/ack-pair discipline message stores like LavinMQ
-//! use, collapsed into a single append-only file. The log is the durable
-//! authority on which dequeued items are still owned by a consumer: on
-//! restart it is replayed sequentially and every lease without a terminal
-//! record ([`ACK`](RecordKind::Ack) or [`DEAD`](RecordKind::Dead)) becomes
+//! Every lease-state transition is one fixed-size, CRC-protected
+//! [`Record`] appended to the consumer group's ack log — a chain of
+//! rotating segment files (see [`segments`](crate::segments)) next to the
+//! queue's pool file(s), the same enq/ack-pair discipline message stores
+//! like LavinMQ use. The log is the durable authority on which dequeued
+//! items are still owned by a consumer: on restart it is replayed
+//! sequentially ([`Replay`]) and every lease without a terminal record
+//! ([`ACK`](RecordKind::Ack) or [`DEAD`](RecordKind::Dead)) becomes
 //! redeliverable.
 //!
 //! # Record linkage
@@ -14,72 +15,44 @@
 //! Item *values* are not unique (a queue may carry the same `u64` twice),
 //! so redelivery cannot retire the superseded lease by item. Instead every
 //! [`GRANT`](RecordKind::Grant) carries `prev_lease_id` — the lease it
-//! re-delivers (`0` for a fresh dequeue from the base queue) — and replay
+//! re-delivers (`0` for a fresh pop from the base queue) — and replay
 //! retires `prev` before registering the new lease. The chain
 //! `GRANT(id=5) → PEND(5, next) → GRANT(9, prev=5) → ACK(9)` therefore
 //! nets out to nothing, while a crash after the `PEND` leaves exactly one
 //! redeliverable entry.
 //!
-//! # Header: id high-water mark and generation
+//! # Generation
 //!
-//! The header carries two u64s besides the magic/version:
+//! Each log has a non-zero **generation**, chosen once when it is created
+//! and never changed: the log's identity. The exactly-once cursor stamps
+//! each acked lease id with the generation it was acked under, and
+//! recovery ignores cursor entries from other generations — a stale
+//! cursor paired with a recreated log can therefore never repair-ack an
+//! unrelated lease.
 //!
-//! * **`next_lease_id`** — the id high-water mark at the last
-//!   create/compaction. Compaction snapshots only *live* leases, so when
-//!   the highest-numbered leases are all settled their GRANT records — the
-//!   only other witnesses of the high-water mark — vanish with the retired
-//!   prefix. Persisting the mark in the header (rewritten by every
-//!   compaction) keeps lease ids monotonic across restarts; replay seeds
-//!   from the header and maxes in the surviving records.
-//! * **`generation`** — a non-zero value chosen once at
-//!   [`AckLog::create`] and carried unchanged through every compaction: the
-//!   log's identity. The exactly-once cursor stamps each acked lease id
-//!   with the generation it was acked under, and recovery ignores cursor
-//!   entries from other generations — a stale cursor paired with a
-//!   recreated log can therefore never repair-ack an unrelated lease.
+//! # The single-file log of older builds
 //!
-//! # Durability
-//!
-//! The log is a [`store::RecordLog`]: a file preallocated in chunks and
-//! mapped shared read-write, so an append is a copy of the 40-byte record
-//! into the mapping — no syscall. Under the default process-crash tier
-//! that is enough: the store is in the page cache the moment it retires
-//! and survives the process, the same contract as the pool files. Under
-//! [`SyncPolicy::PowerFail`] each append additionally `msync`s the
-//! record's page before the operation returns.
-//!
-//! Replay scans the mapping in place. The log ends at the first invalid
-//! record, provided every byte after it is zero (the preallocated tail); a
-//! record torn by the crash in that slot is dropped and zeroed, never
-//! trusted. A corrupt header, or a non-zero byte anywhere after the first
-//! invalid record, is real damage rather than a mid-append crash and is
-//! refused with an error naming the file.
-//!
-//! Version 2 files, which end at their last record instead of a zeroed
-//! tail, replay under the same rule and are rewritten as version 3 by a
-//! compaction before the first append.
+//! Builds before the segmented log kept a single-consumer deployment's
+//! records in one file, [`LEASE_LOG_FILE`]. This build does not read it:
+//! reopening a directory that holds one is refused (see
+//! [`LeasedQueue::recover`](crate::LeasedQueue::recover)), because its
+//! granted-but-unacked items were already popped from the base queue and
+//! would otherwise be lost without a word.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
-use store::{crc32, RecordLog, SyncPolicy};
+use store::crc32;
 
-/// File name of the ack log inside a leased-queue directory.
+/// File name of the single-file ack log older builds wrote; its presence
+/// makes recovery refuse the directory.
 pub const LEASE_LOG_FILE: &str = "LEASES.log";
 
-/// Magic bytes opening the log file.
-pub const LOG_MAGIC: [u8; 8] = *b"DQLEASE1";
-
-/// Current format version. Version 2 (no preallocated tail) is still read.
-pub const LOG_VERSION: u32 = 3;
-
-/// The oldest format version replay accepts.
-const OLDEST_LOG_VERSION: u32 = 2;
-
-/// Size of the file header in bytes (magic + version + next lease id +
-/// generation + header CRC).
-pub const HEADER_LEN: usize = 32;
+/// Size of an ack-log file header in bytes. Every ack-log file is a
+/// segment, whose header is one record's worth.
+pub const HEADER_LEN: usize = crate::segments::SEGMENT_HEADER_LEN;
 
 /// Size of every record in bytes.
 pub const RECORD_LEN: usize = 40;
@@ -97,8 +70,9 @@ pub enum RecordKind {
     Ack = 2,
     /// Lease `lease_id` was nacked or expired: the item awaits redelivery
     /// with `delivery_count` as its *next* attempt number. Also written by
-    /// compaction as the snapshot form of a pending entry, so replay treats
-    /// it as an upsert (it may appear without a preceding grant).
+    /// dispatch for a fresh item awaiting its first delivery in a group
+    /// other than the popping consumer's, so replay treats it as an upsert
+    /// (it may appear without a preceding grant).
     Pend = 3,
     /// Lease `lease_id` exceeded its delivery budget; the item was durably
     /// moved to the dead-letter queue (the DLQ enqueue happens *before*
@@ -138,6 +112,18 @@ pub struct Record {
 }
 
 impl Record {
+    /// A terminal ([`Ack`](RecordKind::Ack) / [`Dead`](RecordKind::Dead))
+    /// record for lease `lease_id`.
+    pub(crate) fn terminal(kind: RecordKind, lease_id: u64) -> Record {
+        Record {
+            kind,
+            delivery_count: 0,
+            lease_id,
+            item: 0,
+            prev_lease_id: 0,
+        }
+    }
+
     pub(crate) fn encode(&self) -> [u8; RECORD_LEN] {
         let mut buf = [0u8; RECORD_LEN];
         buf[0..4].copy_from_slice(&(self.kind as u32).to_le_bytes());
@@ -189,10 +175,10 @@ pub struct Replay {
     /// Every lease without a terminal record, keyed (and therefore ordered)
     /// by lease id — grant order, since ids are monotonic.
     pub live: BTreeMap<u64, LiveLease>,
-    /// The first id the next life may grant: the header's persisted
-    /// high-water mark maxed with `lease id + 1` over the replayed records,
-    /// so ids stay monotonic even when compaction retired every record that
-    /// witnessed the previous maximum.
+    /// The first id the next life may grant: the segment headers'
+    /// persisted high-water marks maxed with `lease id + 1` over the
+    /// replayed records, so ids stay monotonic even when retirement
+    /// discarded every record that witnessed the previous maximum.
     pub next_lease_id: u64,
     /// The log's generation (see the [module docs](self)); exactly-once
     /// cursor entries stamped with a different generation belong to another
@@ -248,37 +234,37 @@ impl Replay {
             }
         }
     }
+}
 
-    /// The live set as compaction records: a GRANT per granted lease, a
-    /// PEND per pending one. Replaying them rebuilds `live` exactly.
-    fn snapshot(&self) -> Vec<Record> {
-        self.live
-            .iter()
-            .map(|(&id, l)| Record {
-                kind: if l.granted {
-                    RecordKind::Grant
-                } else {
-                    RecordKind::Pend
-                },
-                delivery_count: l.delivery_count,
-                lease_id: id,
-                item: l.item,
-                prev_lease_id: 0,
-            })
-            .collect()
+/// Hashes lease ids with one multiply (Fibonacci hashing) instead of
+/// SipHash. Lease ids are dense counters the engine allocates itself,
+/// never input from outside the program, so there are no crafted
+/// collisions to defend against, and on sequential ids the product's low
+/// bits (the bucket) are a permutation and its high bits well mixed.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LeaseIdHasher(u64);
+
+impl Hasher for LeaseIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-fn header_bytes(next_lease_id: u64, generation: u64) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[0..8].copy_from_slice(&LOG_MAGIC);
-    h[8..12].copy_from_slice(&LOG_VERSION.to_le_bytes());
-    h[12..20].copy_from_slice(&next_lease_id.to_le_bytes());
-    h[20..28].copy_from_slice(&generation.to_le_bytes());
-    let crc = crc32(&h[0..28]);
-    h[28..32].copy_from_slice(&crc.to_le_bytes());
-    h
-}
+/// A map keyed by lease id (see [`LeaseIdHasher`]).
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<LeaseIdHasher>>;
+
+/// A set of lease ids (see [`LeaseIdHasher`]).
+pub(crate) type IdSet = HashSet<u64, BuildHasherDefault<LeaseIdHasher>>;
 
 /// A fresh, non-zero log generation: wall-clock nanoseconds mixed with the
 /// process id, with a process-wide sequence in the low 16 bits so two
@@ -298,40 +284,11 @@ pub(crate) fn fresh_generation() -> u64 {
     (((nanos ^ ((std::process::id() as u64) << 32)) & !0xFFFF) | seq).max(1)
 }
 
-/// Zeroes the last record in the log file at `path` (records start at
-/// `header_len`) and returns it: the crash that loses an append, written
-/// in place the way a mapped log loses it.
-#[cfg(test)]
-pub(crate) fn zero_last_record(path: &Path, header_len: usize) -> Record {
-    let mut bytes = std::fs::read(path).unwrap();
-    let used = bytes[header_len..]
-        .chunks_exact(RECORD_LEN)
-        .take_while(|slot| Record::decode(slot).is_some())
-        .count();
-    assert!(used > 0, "{}: no record to zero", path.display());
-    let at = header_len + (used - 1) * RECORD_LEN;
-    let rec = Record::decode(&bytes[at..at + RECORD_LEN]).unwrap();
-    bytes[at..at + RECORD_LEN].fill(0);
-    std::fs::write(path, &bytes).unwrap();
-    rec
-}
-
 pub(crate) fn bad_data(path: &Path, msg: String) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("{}: {msg}", path.display()),
     )
-}
-
-/// The append-only ack log. All mutation goes through the owning
-/// `LeasedQueue`'s lock, so the log itself is single-writer.
-#[derive(Debug)]
-pub struct AckLog {
-    log: RecordLog,
-    sync: SyncPolicy,
-    /// The log's identity, fixed at create time and preserved by
-    /// compaction (see the [module docs](self)).
-    generation: u64,
 }
 
 /// `fsync`s `path`'s parent directory, making a create or rename durable.
@@ -342,156 +299,35 @@ pub(crate) fn sync_parent(path: &Path) -> io::Result<()> {
     }
 }
 
-impl AckLog {
-    /// Creates a fresh, empty log at `dir/`[`LEASE_LOG_FILE`], truncating
-    /// any previous one. Under [`SyncPolicy::PowerFail`] the header and the
-    /// directory entry are fsync'd before returning.
-    pub fn create(dir: &Path, sync: SyncPolicy) -> io::Result<AckLog> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(LEASE_LOG_FILE);
-        let generation = fresh_generation();
-        // Ids start at 1 (0 is the "no previous lease" sentinel), so a
-        // fresh log's high-water mark is 1.
-        let log = RecordLog::create(&path, sync, &header_bytes(1, generation), RECORD_LEN, &[])?;
-        if sync == SyncPolicy::PowerFail {
-            sync_parent(&path)?;
-        }
-        Ok(AckLog {
-            log,
-            sync,
-            generation,
-        })
-    }
-
-    /// Opens and replays the log at `dir/`[`LEASE_LOG_FILE`], returning the
-    /// reconstructed lease state alongside the log (positioned for further
-    /// appends). A missing file is not an error — it becomes a fresh log
-    /// with an empty replay, so a directory that never leased opens
-    /// cleanly. A torn final record is dropped; a corrupt header or
-    /// interior damage is refused with an error naming the file. A
-    /// version 2 log is rewritten as the current version (an ordinary
-    /// compaction of the replayed live set) before this returns.
-    pub fn replay(dir: &Path, sync: SyncPolicy) -> io::Result<(AckLog, Replay)> {
-        let path = dir.join(LEASE_LOG_FILE);
-        let mut log = match RecordLog::open(&path, sync, HEADER_LEN, RECORD_LEN) {
-            Ok(log) => log,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let log = AckLog::create(dir, sync)?;
-                let replay = Replay {
-                    next_lease_id: 1,
-                    generation: log.generation,
-                    ..Replay::default()
-                };
-                return Ok((log, replay));
-            }
-            Err(e) => return Err(e),
-        };
-        let h = log.header();
-        if h[0..8] != LOG_MAGIC {
-            return Err(bad_data(&path, format!("bad magic {:?}", &h[0..8])));
-        }
-        let version = u32::from_le_bytes(h[8..12].try_into().unwrap());
-        let header_next_id = u64::from_le_bytes(h[12..20].try_into().unwrap());
-        let generation = u64::from_le_bytes(h[20..28].try_into().unwrap());
-        let stored = u32::from_le_bytes(h[28..32].try_into().unwrap());
-        if crc32(&h[0..28]) != stored {
-            return Err(bad_data(
-                &path,
-                format!(
-                    "header CRC mismatch (expected {:08x}, found {stored:08x})",
-                    crc32(&h[0..28])
-                ),
-            ));
-        }
-        if !(OLDEST_LOG_VERSION..=LOG_VERSION).contains(&version) {
-            return Err(bad_data(
-                &path,
-                format!(
-                    "unsupported version {version} (this build reads \
-                     {OLDEST_LOG_VERSION}..={LOG_VERSION})"
-                ),
-            ));
-        }
-
-        let mut replay = Replay {
-            next_lease_id: header_next_id,
-            generation,
-            ..Replay::default()
-        };
-        replay.torn_bytes = log.scan(|slot| match Record::decode(slot) {
-            Some(rec) => {
-                replay.apply(&rec);
-                true
-            }
-            None => false,
-        })?;
-        log.drop_torn()?;
-        let mut log = AckLog {
-            log,
-            sync,
-            generation,
-        };
-        if version < LOG_VERSION {
-            log.compact(replay.next_lease_id, replay.snapshot())?;
-        }
-        Ok((log, replay))
-    }
-
-    /// Appends one record: a copy into the mapped tail, plus an `msync` of
-    /// its page under [`SyncPolicy::PowerFail`].
-    pub fn append(&mut self, rec: &Record) -> io::Result<()> {
-        self.log.append(&rec.encode())
-    }
-
-    /// Atomically rewrites the log to contain exactly `live` (the snapshot
-    /// form of the current lease state), discarding the retired prefix:
-    /// tmp file → fsync → rename → directory fsync, the same discipline as
-    /// the shard manifest, so a crash at any point leaves either the old or
-    /// the new log.
-    ///
-    /// `next_lease_id` is the caller's id high-water mark, persisted in the
-    /// rewritten header: the snapshot holds only *live* leases, so without
-    /// it a snapshot taken after the highest ids settled would lose the
-    /// mark and a later replay would hand out already-used ids. The
-    /// generation is carried through unchanged — compaction does not change
-    /// which log this is.
-    pub fn compact(
-        &mut self,
-        next_lease_id: u64,
-        live: impl IntoIterator<Item = Record>,
-    ) -> io::Result<()> {
-        let path = self.log.path().to_path_buf();
-        let tmp = path.with_extension("log.tmp");
-        let records: Vec<u8> = live.into_iter().flat_map(|rec| rec.encode()).collect();
-        let header = header_bytes(next_lease_id, self.generation);
-        let mut log = RecordLog::create(&tmp, self.sync, &header, RECORD_LEN, &records)?;
-        log.sync_data()?;
-        log.rename(&path)?;
-        sync_parent(&path)?;
-        self.log = log;
-        Ok(())
-    }
-
-    /// Records in the file since the last create/compaction.
-    pub fn records(&self) -> u64 {
-        self.log.records()
-    }
-
-    /// The log's generation: its identity, fixed at create time and
-    /// preserved by compaction (see the [module docs](self)).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The log file's path.
-    pub fn path(&self) -> &Path {
-        self.log.path()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::segments::{SegmentedLog, GROUP_META_FILE};
+    use crate::{LeaseConfig, LeasedQueue};
+    use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
+    use pmem::{PmemPool, PoolConfig};
+    use std::sync::Arc;
+    use store::SyncPolicy;
+
+    /// Zeroes the last record of the active (newest) segment in the log
+    /// directory `dir` and returns it: the crash that loses an append, written
+    /// in place the way a mapped log loses it.
+    pub(crate) fn zero_last_record(dir: &Path) -> Record {
+        use crate::segments::{list_dir, segment_path};
+        let newest = *list_dir(dir).unwrap().seqs.last().expect("no segment");
+        let path = segment_path(dir, newest);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let used = bytes[HEADER_LEN..]
+            .chunks_exact(RECORD_LEN)
+            .take_while(|slot| Record::decode(slot).is_some())
+            .count();
+        assert!(used > 0, "{}: no record to zero", path.display());
+        let at = HEADER_LEN + (used - 1) * RECORD_LEN;
+        let rec = Record::decode(&bytes[at..at + RECORD_LEN]).unwrap();
+        bytes[at..at + RECORD_LEN].fill(0);
+        std::fs::write(&path, &bytes).unwrap();
+        rec
+    }
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-log-{tag}-{}", std::process::id()));
@@ -510,39 +346,51 @@ mod tests {
         }
     }
 
-    fn terminal(kind: RecordKind, id: u64) -> Record {
-        Record {
-            kind,
-            delivery_count: 0,
-            lease_id: id,
-            item: 0,
-            prev_lease_id: 0,
+    /// A fresh one-segment log in `dir` holding `records`.
+    fn log_with(dir: &Path, sync: SyncPolicy, records: &[Record]) -> SegmentedLog {
+        let mut log = SegmentedLog::create(dir, sync, 0).unwrap();
+        for rec in records {
+            log.append(rec, rec.lease_id + 1).unwrap();
         }
+        log
+    }
+
+    fn replay(dir: &Path) -> io::Result<Replay> {
+        SegmentedLog::replay(dir, SyncPolicy::default(), 0).map(|(_, gr)| gr.replay)
+    }
+
+    fn fresh_base() -> OptUnlinkedQueue {
+        let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
+        OptUnlinkedQueue::create(pool, QueueConfig::small_test())
     }
 
     #[test]
     fn roundtrip_reconstructs_live_leases() {
         let dir = tmp("roundtrip");
-        let mut log = AckLog::create(&dir, SyncPolicy::PowerFail).unwrap();
-        log.append(&grant(1, 100, 1, 0)).unwrap();
-        log.append(&grant(2, 200, 1, 0)).unwrap();
-        log.append(&terminal(RecordKind::Ack, 1)).unwrap();
-        // Lease 2 nacked, regranted as 3, then dead-lettered.
-        log.append(&Record {
-            kind: RecordKind::Pend,
-            delivery_count: 2,
-            lease_id: 2,
-            item: 200,
-            prev_lease_id: 0,
-        })
-        .unwrap();
-        log.append(&grant(3, 200, 2, 2)).unwrap();
-        log.append(&terminal(RecordKind::Dead, 3)).unwrap();
-        log.append(&grant(4, 400, 1, 0)).unwrap();
+        let log = log_with(
+            &dir,
+            SyncPolicy::PowerFail,
+            &[
+                grant(1, 100, 1, 0),
+                grant(2, 200, 1, 0),
+                Record::terminal(RecordKind::Ack, 1),
+                // Lease 2 nacked, regranted as 3, then dead-lettered.
+                Record {
+                    kind: RecordKind::Pend,
+                    delivery_count: 2,
+                    lease_id: 2,
+                    item: 200,
+                    prev_lease_id: 0,
+                },
+                grant(3, 200, 2, 2),
+                Record::terminal(RecordKind::Dead, 3),
+                grant(4, 400, 1, 0),
+            ],
+        );
+        assert_eq!(log.records(), 7);
         drop(log);
 
-        let (log, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
-        assert_eq!(log.records(), 7);
+        let replay = replay(&dir).unwrap();
         assert_eq!(replay.records, 7);
         assert_eq!(replay.acked, 1);
         assert_eq!(replay.dead, 1);
@@ -563,27 +411,29 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_and_chopped() {
         let dir = tmp("torn");
-        let mut log = AckLog::create(&dir, SyncPolicy::default()).unwrap();
-        log.append(&grant(1, 10, 1, 0)).unwrap();
-        log.append(&grant(2, 20, 1, 0)).unwrap();
-        drop(log);
+        drop(log_with(
+            &dir,
+            SyncPolicy::default(),
+            &[grant(1, 10, 1, 0), grant(2, 20, 1, 0)],
+        ));
         // Simulate an append torn mid-record: the third slot holds part of
         // a record, the preallocated tail after it stays zero.
-        let path = dir.join(LEASE_LOG_FILE);
+        let path = dir.join("segment-0000.log");
         let mut bytes = std::fs::read(&path).unwrap();
         let slot = HEADER_LEN + 2 * RECORD_LEN;
         bytes[slot..slot + RECORD_LEN - 7].fill(0xAB);
         std::fs::write(&path, &bytes).unwrap();
 
-        let (mut log, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
-        assert_eq!(replay.records, 2);
-        assert_eq!(replay.torn_bytes, (RECORD_LEN - 7) as u64);
-        assert_eq!(replay.live.len(), 2);
+        let (mut log, gr) = SegmentedLog::replay(&dir, SyncPolicy::default(), 0).unwrap();
+        assert_eq!(gr.replay.records, 2);
+        assert_eq!(gr.replay.torn_bytes, (RECORD_LEN - 7) as u64);
+        assert_eq!(gr.replay.live.len(), 2);
         // The torn slot was zeroed: a fresh append lands on a record
         // boundary and replays cleanly.
-        log.append(&terminal(RecordKind::Ack, 1)).unwrap();
+        log.append(&Record::terminal(RecordKind::Ack, 1), 3)
+            .unwrap();
         drop(log);
-        let (_, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
+        let replay = replay(&dir).unwrap();
         assert_eq!(replay.records, 3);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.live.len(), 1);
@@ -594,21 +444,27 @@ mod tests {
     fn a_non_zero_byte_after_the_torn_slot_is_refused_with_the_file_name() {
         // A torn slot followed by zeros is a crash tail; one stray byte
         // further into the preallocated tail means the "tail" may hide
-        // acknowledged records, so replay must refuse rather than drop it.
+        // acknowledged records, so recovery must refuse rather than drop
+        // it — here through the one-group engine.
         let dir = tmp("stray");
-        let mut log = AckLog::create(&dir, SyncPolicy::default()).unwrap();
-        log.append(&grant(1, 10, 1, 0)).unwrap();
-        drop(log);
-        let path = dir.join(LEASE_LOG_FILE);
+        let cfg = LeaseConfig::new(&dir).with_compact_after(3);
+        {
+            let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
+            q.enqueue(0, 10);
+            q.dequeue(0).unwrap();
+        }
+        let path = dir.join("segment-0000.log");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[HEADER_LEN + RECORD_LEN + 3] = 0x11; // torn second slot
         bytes[HEADER_LEN + 50 * RECORD_LEN] = 0x22; // far into the tail
         std::fs::write(&path, &bytes).unwrap();
 
-        let err = AckLog::replay(&dir, SyncPolicy::default()).unwrap_err();
+        let err = LeasedQueue::recover(fresh_base(), None, cfg, None)
+            .map(|_| ())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.contains(LEASE_LOG_FILE), "{msg}");
+        assert!(msg.contains("segment-0000.log"), "{msg}");
         assert!(msg.contains("corrupt record"), "{msg}");
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -618,185 +474,66 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A version 2 file, byte for byte: the same header and records, but
-    /// no preallocated tail — the file ends at its last (here: torn)
-    /// record.
-    fn v2_log(dir: &Path, next_lease_id: u64, generation: u64, records: &[Record]) {
-        let mut h = header_bytes(next_lease_id, generation);
-        h[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let crc = crc32(&h[0..28]);
-        h[28..32].copy_from_slice(&crc.to_le_bytes());
-        let mut bytes = h.to_vec();
-        for rec in records {
-            bytes.extend_from_slice(&rec.encode());
-        }
-        bytes.extend_from_slice(&[0xEE; RECORD_LEN - 9]);
-        std::fs::create_dir_all(dir).unwrap();
-        std::fs::write(dir.join(LEASE_LOG_FILE), bytes).unwrap();
-    }
-
-    #[test]
-    fn a_version_2_log_replays_the_same_live_set_and_takes_appends() {
-        let records = [
-            grant(1, 100, 1, 0),
-            grant(2, 200, 1, 0),
-            terminal(RecordKind::Ack, 1),
-            Record {
-                kind: RecordKind::Pend,
-                delivery_count: 2,
-                lease_id: 2,
-                item: 200,
-                prev_lease_id: 0,
-            },
-            grant(3, 300, 1, 0),
-        ];
-        // The same records through the current format, for comparison.
-        let cur = tmp("v3-reference");
-        let mut log = AckLog::create(&cur, SyncPolicy::default()).unwrap();
-        for rec in &records {
-            log.append(rec).unwrap();
-        }
-        drop(log);
-        let (_, want) = AckLog::replay(&cur, SyncPolicy::default()).unwrap();
-
-        let dir = tmp("v2");
-        v2_log(&dir, 7, 0xABCD_0000, &records);
-        let (mut log, got) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
-        assert_eq!(got.live, want.live);
-        assert_eq!(got.records, 5);
-        assert_eq!((got.acked, got.dead), (1, 0));
-        assert_eq!(got.torn_bytes, (RECORD_LEN - 9) as u64);
-        assert_eq!(got.next_lease_id, 7, "header mark lost");
-        assert_eq!(got.generation, 0xABCD_0000);
-        // Rewritten as the current version before the first append.
-        let bytes = std::fs::read(dir.join(LEASE_LOG_FILE)).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            LOG_VERSION
-        );
-        assert_eq!(
-            log.records(),
-            2,
-            "compaction keeps one record per live lease"
-        );
-        assert_eq!(log.generation(), 0xABCD_0000);
-
-        log.append(&terminal(RecordKind::Ack, 3)).unwrap();
-        drop(log);
-        let (_, again) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
-        assert_eq!(again.live.keys().copied().collect::<Vec<_>>(), vec![2]);
-        assert_eq!(again.live[&2], want.live[&2]);
-        assert_eq!(again.next_lease_id, 7);
-        assert_eq!(again.generation, 0xABCD_0000);
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&cur).unwrap();
-    }
-
     #[test]
     fn interior_corruption_is_refused_with_the_file_name() {
         let dir = tmp("interior");
-        let mut log = AckLog::create(&dir, SyncPolicy::default()).unwrap();
-        for i in 1..=3 {
-            log.append(&grant(i, i * 10, 1, 0)).unwrap();
-        }
-        drop(log);
-        let path = dir.join(LEASE_LOG_FILE);
+        let records: Vec<Record> = (1..=3).map(|i| grant(i, i * 10, 1, 0)).collect();
+        drop(log_with(&dir, SyncPolicy::default(), &records));
+        let path = dir.join("segment-0000.log");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[HEADER_LEN + 5] ^= 0xFF; // first record, not the tail
         std::fs::write(&path, &bytes).unwrap();
 
-        let err = AckLog::replay(&dir, SyncPolicy::default()).unwrap_err();
+        let err = replay(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.contains(LEASE_LOG_FILE), "{msg}");
+        assert!(msg.contains("segment-0000.log"), "{msg}");
         assert!(msg.contains("corrupt record"), "{msg}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn header_damage_is_refused() {
+        // The lone segment of a never-rotated log has no predecessor to
+        // roll back to, so any damage to its header is refused.
         let dir = tmp("header");
-        drop(AckLog::create(&dir, SyncPolicy::default()).unwrap());
-        let path = dir.join(LEASE_LOG_FILE);
-
+        drop(log_with(&dir, SyncPolicy::default(), &[grant(1, 10, 1, 0)]));
+        let path = dir.join("segment-0000.log");
         let good = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &good[..HEADER_LEN - 3]).unwrap();
-        let err = AckLog::replay(&dir, SyncPolicy::default()).unwrap_err();
-        assert!(err.to_string().contains("truncated header"), "{err}");
 
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        std::fs::write(&path, &bad).unwrap();
-        let err = AckLog::replay(&dir, SyncPolicy::default()).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
-
-        let mut bad = good.clone();
-        bad[9] ^= 0xFF; // version byte → header CRC mismatch
-        std::fs::write(&path, &bad).unwrap();
-        let err = AckLog::replay(&dir, SyncPolicy::default()).unwrap_err();
-        assert!(err.to_string().contains("header CRC mismatch"), "{err}");
+        let truncated = good[..HEADER_LEN - 3].to_vec();
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let mut bad_crc = good.clone();
+        bad_crc[9] ^= 0xFF; // version byte → header CRC mismatch
+        for bad in [truncated, bad_magic, bad_crc] {
+            std::fs::write(&path, &bad).unwrap();
+            let err = replay(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("segment-0000.log"), "{msg}");
+            assert!(msg.contains("corrupt segment header"), "{msg}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bad,
+                "damaged header rewritten"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_file_opens_as_a_fresh_log() {
+        // A directory that never leased recovers as an empty deployment.
         let dir = tmp("missing");
-        let (log, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
-        assert_eq!(log.records(), 0);
-        assert!(replay.live.is_empty());
-        assert_eq!(replay.next_lease_id, 1);
-        assert_eq!(replay.generation, log.generation());
-        assert_ne!(replay.generation, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_discards_the_retired_prefix_and_survives_replay() {
-        let dir = tmp("compact");
-        let mut log = AckLog::create(&dir, SyncPolicy::PowerFail).unwrap();
-        for i in 1..=100u64 {
-            log.append(&grant(i, i, 1, 0)).unwrap();
-            if i <= 98 {
-                log.append(&terminal(RecordKind::Ack, i)).unwrap();
-            }
-        }
-        assert_eq!(log.records(), 198);
-        log.compact(101, [grant(99, 99, 1, 0), grant(100, 100, 1, 0)])
-            .unwrap();
-        assert_eq!(log.records(), 2);
-        // The compacted log still appends and replays.
-        log.append(&terminal(RecordKind::Ack, 99)).unwrap();
-        drop(log);
-        let (_, replay) = AckLog::replay(&dir, SyncPolicy::PowerFail).unwrap();
-        assert_eq!(replay.records, 3);
-        assert_eq!(replay.live.len(), 1);
-        assert_eq!(replay.live[&100].item, 100);
-        assert_eq!(replay.next_lease_id, 101);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn empty_compaction_keeps_the_id_high_water_mark_and_generation() {
-        // Regression: when the highest-numbered leases are all settled, the
-        // snapshot holds no record witnessing the id maximum — only the
-        // header's persisted mark keeps replay from reusing lease ids.
-        let dir = tmp("empty-compact");
-        let mut log = AckLog::create(&dir, SyncPolicy::default()).unwrap();
-        let generation = log.generation();
-        for i in 1..=50u64 {
-            log.append(&grant(i, i, 1, 0)).unwrap();
-            log.append(&terminal(RecordKind::Ack, i)).unwrap();
-        }
-        log.compact(51, []).unwrap();
-        assert_eq!(log.records(), 0);
-        assert_eq!(log.generation(), generation);
-        drop(log);
-
-        let (log, replay) = AckLog::replay(&dir, SyncPolicy::default()).unwrap();
-        assert!(replay.live.is_empty());
-        assert_eq!(replay.next_lease_id, 51, "high-water mark lost");
-        assert_eq!(replay.generation, generation, "generation changed");
-        assert_eq!(log.generation(), generation);
+        let (q, rec) =
+            LeasedQueue::recover(fresh_base(), None, LeaseConfig::new(&dir), None).unwrap();
+        assert_eq!(rec.log_records, 0);
+        assert_eq!(rec.redelivered, 0);
+        assert_eq!(q.log_records(), 0);
+        assert!(dir.join(GROUP_META_FILE).exists());
+        q.enqueue(0, 5);
+        assert_eq!(q.dequeue(0).unwrap().id, 1, "a fresh log starts ids at 1");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

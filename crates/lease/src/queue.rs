@@ -5,36 +5,32 @@
 //! [ack log](crate::log). Consumers [`ack`](LeasedQueue::ack) to retire,
 //! [`nack`](LeasedQueue::nack) (or let the deadline pass) to redeliver with
 //! an incremented delivery count, and items that exhaust their delivery
-//! budget overflow to a dead-letter queue. See the crate docs for the state
-//! machine and the crash-consistency argument.
+//! budget overflow to a dead-letter queue.
+//!
+//! A `LeasedQueue` is the [lease engine](crate::group) with exactly one
+//! consumer group, whose segment chain (`GROUP.meta`, `segment-NNNN.log`)
+//! lives directly in [`LeaseConfig::dir`]. A fresh item costs one `GRANT`
+//! and one `ACK` record. See the crate docs for the state machine and the
+//! crash-consistency argument.
 
-use crate::log::{AckLog, Record, RecordKind};
+use crate::group::{ConsumerGroup, GroupConfig, GroupedQueue};
 use durable_queues::{DurableQueue, KeyedQueue};
-use obs::flight::EventKind;
-use obs::LazyCounter;
-use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
-// Settlement instruments, mirroring the volatile `LeaseStats` (which reset
-// on recovery) with process-global monotonic counters the exporters read.
-static GRANTS: LazyCounter = LazyCounter::new("lease.grant");
-static ACKS: LazyCounter = LazyCounter::new("lease.ack");
-static NACKS: LazyCounter = LazyCounter::new("lease.nack");
-static EXPIRIES: LazyCounter = LazyCounter::new("lease.expire");
-static DEAD: LazyCounter = LazyCounter::new("lease.dead");
-static COMPACTIONS: LazyCounter = LazyCounter::new("lease.compaction");
+/// Name of a [`LeasedQueue`]'s one consumer group (reported nowhere on
+/// disk: the group's log lives in the deployment directory itself).
+const GROUP_NAME: &str = "default";
 
 /// Configuration of a [`LeasedQueue`].
 #[derive(Clone, Debug)]
 pub struct LeaseConfig {
-    /// Directory holding the ack log (`LEASES.log`) — for file-backed
-    /// deployments, the same directory as the pool files.
+    /// Directory holding the ack log (`GROUP.meta` and its
+    /// `segment-NNNN.log` files) — for file-backed deployments, the same
+    /// directory as the pool files.
     pub dir: PathBuf,
     /// How long a consumer may hold a lease before it expires and the item
     /// becomes redeliverable.
@@ -44,22 +40,22 @@ pub struct LeaseConfig {
     pub max_deliveries: u32,
     /// Durability tier of the ack log (mirrors the pool files' policy).
     pub sync: SyncPolicy,
-    /// Compact the ack log once it holds more than this many records *and*
-    /// retired records dominate live ones 4:1 (`0` = never compact).
+    /// Records per ack-log segment before it rotates; settled segments
+    /// are then retired (`0` = never rotate).
     pub compact_after: u64,
 }
 
 impl LeaseConfig {
     /// A configuration with the given log directory and the defaults:
     /// 30 s lease timeout, unlimited deliveries, process-crash durability,
-    /// compaction after 4096 records.
+    /// segment rotation every 4096 records.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         LeaseConfig {
             dir: dir.into(),
             lease_timeout: Duration::from_secs(30),
             max_deliveries: 0,
             sync: SyncPolicy::default(),
-            compact_after: 4096,
+            compact_after: crate::segments::DEFAULT_ROTATE_RECORDS,
         }
     }
 
@@ -81,10 +77,19 @@ impl LeaseConfig {
         self
     }
 
-    /// Overrides the compaction threshold (`0` = never compact).
+    /// Overrides the segment rotation threshold (`0` = never rotate).
     pub fn with_compact_after(mut self, records: u64) -> Self {
         self.compact_after = records;
         self
+    }
+
+    /// The one-group engine configuration this maps to.
+    fn group_config(&self) -> GroupConfig {
+        GroupConfig::new(&self.dir, [GROUP_NAME])
+            .with_timeout(self.lease_timeout)
+            .with_max_deliveries(self.max_deliveries)
+            .with_sync(self.sync)
+            .with_rotate_records(self.compact_after)
     }
 }
 
@@ -172,9 +177,12 @@ pub enum Redelivery {
 }
 
 /// Volatile counters since creation/recovery (not persisted; the ack log
-/// is the durable record).
+/// is the durable record), one set per consumer group.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LeaseStats {
+    /// Items popped from the base queue for this group: granted straight
+    /// away or queued for their first delivery.
+    pub dispatched: u64,
     /// Leases granted (fresh + redeliveries).
     pub granted: u64,
     /// Grants that were redeliveries (`delivery_count > 1`).
@@ -191,86 +199,44 @@ pub struct LeaseStats {
     /// reaped *and* regranted — the documented window in which the handoff
     /// degrades to at-least-once.
     pub late_acks: u64,
-    /// Ack-log compactions performed.
+    /// Ack-log segment rotations.
+    pub rotations: u64,
+    /// Ack-log segments retired (unlinked): the log's compaction.
     pub compactions: u64,
+    /// Ack-log records replayed at open plus records appended since
+    /// (retiring a segment does not subtract).
+    pub log_records: u64,
+    /// Ack-log segment files currently on disk.
+    pub segments: u32,
 }
 
-/// What [`LeasedQueue::recover`] reconstructed from the ack log.
+/// What recovery reconstructed from one group's ack log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveredLeases {
     /// Leases that were in a consumer's hands at the crash and are now
     /// queued for redelivery with an incremented delivery count.
     pub unacked: u64,
     /// Total items queued for redelivery (`unacked` + previously
-    /// nacked/expired items that had not been regranted yet).
+    /// nacked/expired/dispatched items that had not been granted yet).
     pub redelivered: u64,
     /// Items dead-lettered *during recovery* because their next delivery
     /// would exceed the budget.
     pub dead_lettered: u64,
     /// Leases retired at recovery because the exactly-once cursor proved
-    /// their ack transaction committed (the sidecar ack record was the only
-    /// thing the crash swallowed).
+    /// their ack transaction committed (the ack record was the only thing
+    /// the crash swallowed).
     pub tx_acked: u64,
     /// Valid ack-log records replayed.
     pub log_records: u64,
+    /// Segment files present after replay.
+    pub segments: u32,
+    /// Already-retired segment files deleted on open (interrupted
+    /// retirement roll-forward).
+    pub retired_leftovers: u32,
 }
 
-struct InFlight {
-    item: u64,
-    delivery_count: u32,
-    deadline: Instant,
-}
-
-struct PendingItem {
-    /// The lease this redelivery supersedes (its `GRANT.prev` linkage).
-    prev: u64,
-    item: u64,
-    /// Count the next grant will carry.
-    delivery_count: u32,
-}
-
-/// Lease expiry order, earliest first, with lazy deletion: an entry is
-/// live iff the lease is still in flight with exactly this deadline.
-pub(crate) type DeadlineHeap = BinaryHeap<Reverse<(Instant, u64)>>;
-
-/// Pushes lease `id`'s `deadline` (the lease must already be in flight)
-/// and keeps the heap bounded. Settled leases leave their entries behind
-/// until the deadline passes, so with a long timeout the heap would grow
-/// with every grant; once it holds more than `2 × in_flight + 64` entries
-/// it is rebuilt from the `live` (deadline, id) pairs. A rebuild costs
-/// O(in_flight) and the next one is at least `in_flight + 64` pushes away,
-/// so pushes stay amortized O(1).
-pub(crate) fn push_deadline(
-    heap: &mut DeadlineHeap,
-    deadline: Instant,
-    id: u64,
-    in_flight: usize,
-    live: impl Iterator<Item = (Instant, u64)>,
-) {
-    heap.push(Reverse((deadline, id)));
-    if heap.len() > 2 * in_flight + 64 {
-        *heap = live.map(Reverse).collect();
-    }
-}
-
-struct LeaseState {
-    log: AckLog,
-    inflight: HashMap<u64, InFlight>,
-    /// Expiry order (see [`DeadlineHeap`]).
-    deadlines: DeadlineHeap,
-    pending: VecDeque<PendingItem>,
-    /// Leases whose exactly-once settlement transaction is running outside
-    /// the lock: any other settlement attempt (ack, nack, or a second
-    /// exactly-once ack) must see `NotInFlight` instead of racing it.
-    /// Expiry reaping deliberately still applies — the documented late-ack
-    /// window — so a wedged consumer transaction cannot strand the item.
-    settling: HashSet<u64>,
-    next_id: u64,
-    stats: LeaseStats,
-}
-
-/// A peek-lock wrapper around any durable queue. See the
-/// [module docs](self) and the crate docs.
+/// A peek-lock wrapper around any durable queue: the lease engine with one
+/// consumer group. See the [module docs](self) and the crate docs.
 ///
 /// All lease state transitions are serialised by one internal lock; the
 /// base queue's own lock-free paths still run concurrently for enqueues
@@ -284,17 +250,13 @@ struct LeaseState {
 /// process must restart and replay. Constructors return `io::Result`
 /// instead, since nothing is in flight yet.
 pub struct LeasedQueue<Q: DurableQueue> {
-    base: Q,
-    dlq: Option<Arc<dyn DurableQueue>>,
-    lease_timeout: Duration,
-    max_deliveries: u32,
-    compact_after: u64,
-    state: Mutex<LeaseState>,
+    group: ConsumerGroup<Q>,
 }
 
 impl<Q: DurableQueue> LeasedQueue<Q> {
-    /// Wraps `base` with a fresh ack log in `config.dir` (truncating any
-    /// previous log — use [`recover`](Self::recover) to resume one).
+    /// Wraps `base` with a fresh ack log in `config.dir` (deleting any
+    /// previous one, including an older build's `LEASES.log` — use
+    /// [`recover`](Self::recover) to resume one).
     ///
     /// Fails with `InvalidInput` if `config.max_deliveries > 0` but no
     /// dead-letter queue was supplied: a finite budget with nowhere to
@@ -304,10 +266,9 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
         dlq: Option<Arc<dyn DurableQueue>>,
         config: LeaseConfig,
     ) -> io::Result<Self> {
-        Self::check_dlq(&config, &dlq)?;
-        let log = AckLog::create(&config.dir, config.sync)?;
-        let state = LeaseState::fresh(log);
-        Ok(Self::assemble(base, dlq, config, state))
+        let engine =
+            GroupedQueue::create_in(base, vec![dlq], &config.group_config(), vec![config.dir])?;
+        Ok(Self::wrap(engine))
     }
 
     /// Wraps `base` around the ack log already in `config.dir`, replaying
@@ -315,108 +276,41 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     /// leases granted at the crash are requeued with `delivery_count + 1`,
     /// nacked-but-not-regranted items keep their recorded next count, and
     /// items whose next delivery would exceed the budget go straight to the
-    /// dead-letter queue.
+    /// dead-letter queue. A directory without an ack log opens as a fresh
+    /// one.
     ///
     /// `cursor` is the deployment's exactly-once ack engine, when it has
     /// one: leases whose ack transaction is known to have committed
-    /// ([`ExactlyOnce::acked_ids`](crate::tx::ExactlyOnce::acked_ids),
+    /// ([`ExactlyOnce::acked_ids_in`](crate::tx::ExactlyOnce::acked_ids_in),
     /// queried with the replayed log's generation so entries stamped by an
     /// older or recreated log are ignored) are retired here with repair ack
     /// records instead of being redelivered. Pass `None` for plain
     /// at-least-once deployments.
+    ///
+    /// Fails with `InvalidData` — leaving the file untouched — if the
+    /// directory holds the single-file `LEASES.log` of an older build: its
+    /// granted-but-unacked items were already popped from the base queue,
+    /// so opening without it would lose them.
     pub fn recover(
         base: Q,
         dlq: Option<Arc<dyn DurableQueue>>,
         config: LeaseConfig,
         cursor: Option<&crate::tx::ExactlyOnce>,
     ) -> io::Result<(Self, RecoveredLeases)> {
-        Self::check_dlq(&config, &dlq)?;
-        let (mut log, replay) = AckLog::replay(&config.dir, config.sync)?;
-        let tx_acked = cursor
-            .map(|eo| eo.acked_ids(replay.generation))
-            .unwrap_or_default();
-        let mut pending = VecDeque::new();
-        let mut recovered = RecoveredLeases {
-            log_records: replay.records,
-            ..RecoveredLeases::default()
-        };
-
-        let mut live = replay.live;
-        for &id in &tx_acked {
-            if live.remove(&id).is_some() {
-                // The consumer's transaction committed; only the sidecar
-                // ack record was lost to the crash. Repair it.
-                log.append(&Record {
-                    kind: RecordKind::Ack,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                })?;
-                recovered.tx_acked += 1;
-            }
-        }
-
-        // BTreeMap iteration = lease-id order = grant order, so recovered
-        // redelivery preserves the original delivery order.
-        for (id, lease) in live {
-            let next = if lease.granted {
-                recovered.unacked += 1;
-                lease.delivery_count + 1
-            } else {
-                lease.delivery_count
-            };
-            if config.max_deliveries > 0 && next > config.max_deliveries {
-                let dlq = dlq.as_ref().expect("checked by check_dlq");
-                dlq.enqueue(0, lease.item);
-                log.append(&Record {
-                    kind: RecordKind::Dead,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                })?;
-                recovered.dead_lettered += 1;
-            } else {
-                pending.push_back(PendingItem {
-                    prev: id,
-                    item: lease.item,
-                    delivery_count: next,
-                });
-                recovered.redelivered += 1;
-            }
-        }
-        let mut state = LeaseState::fresh(log);
-        state.pending = pending;
-        state.next_id = replay.next_lease_id.max(1);
-        Ok((Self::assemble(base, dlq, config, state), recovered))
-    }
-
-    fn check_dlq(config: &LeaseConfig, dlq: &Option<Arc<dyn DurableQueue>>) -> io::Result<()> {
-        if config.max_deliveries > 0 && dlq.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "max_deliveries > 0 requires a dead-letter queue (overflow \
-                 would otherwise drop items)",
-            ));
-        }
-        Ok(())
-    }
-
-    fn assemble(
-        base: Q,
-        dlq: Option<Arc<dyn DurableQueue>>,
-        config: LeaseConfig,
-        state: LeaseState,
-    ) -> Self {
-        LeasedQueue {
+        let (engine, mut reports) = GroupedQueue::recover_in(
             base,
-            dlq,
-            lease_timeout: config.lease_timeout,
-            max_deliveries: config.max_deliveries,
-            compact_after: config.compact_after,
-            state: Mutex::new(state),
-        }
+            vec![dlq],
+            &config.group_config(),
+            vec![config.dir],
+            cursor,
+        )?;
+        let report = reports.pop().expect("one report per group");
+        Ok((Self::wrap(engine), report))
+    }
+
+    fn wrap(engine: GroupedQueue<Q>) -> Self {
+        let group = Arc::new(engine).handles().pop().expect("one group");
+        LeasedQueue { group }
     }
 
     // ------------------------------------------------------------------
@@ -425,7 +319,7 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
 
     /// Appends `item` on the base queue.
     pub fn enqueue(&self, tid: usize, item: u64) {
-        self.base.enqueue(tid, item);
+        self.base().enqueue(tid, item);
     }
 
     // ------------------------------------------------------------------
@@ -434,54 +328,16 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
 
     /// Grants a lease on the next item: redeliveries first (in lease-id
     /// order), then a fresh pop from the base queue. Returns `None` when
-    /// neither has an item. Expired leases are reaped first, so a single
-    /// consumer loop observes its own timeouts.
-    ///
-    /// The grant record is durable (fsync'd under the power-fail tier)
-    /// before the lease is returned, so no item a consumer *observed* can
-    /// be lost to a crash. The one unprotected window is inherent to a
-    /// destructive base queue: a crash between the base pop and the grant
-    /// append loses that single in-transit item — never one that any
-    /// consumer has seen. Closing it would need a non-destructive base
-    /// (peek support), which none of the paper's algorithms have.
+    /// neither has an item. See [`ConsumerGroup::dequeue`].
     pub fn dequeue(&self, tid: usize) -> Option<Lease> {
-        let now = Instant::now();
-        let mut st = self.state.lock();
-        self.reap_locked(&mut st, tid, now);
-        if let Some(p) = st.pending.pop_front() {
-            return Some(self.grant_locked(&mut st, now, p.item, p.delivery_count, p.prev));
-        }
-        drop(st);
-        let item = self.base.dequeue(tid)?;
-        let mut st = self.state.lock();
-        Some(self.grant_locked(&mut st, now, item, 1, 0))
+        self.group.dequeue(tid)
     }
 
     /// Durably retires `lease`: the item is consumed and will never be
     /// redelivered. Fails with [`LeaseError::NotInFlight`] if the lease
     /// already settled or expired.
     pub fn ack(&self, lease: &Lease) -> Result<(), LeaseError> {
-        let mut st = self.state.lock();
-        if st.settling.contains(&lease.id) || st.inflight.remove(&lease.id).is_none() {
-            // Settling: an exactly-once transaction owns this lease's
-            // settlement; racing it would double-settle.
-            return Err(LeaseError::NotInFlight);
-        }
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-        );
-        st.stats.acked += 1;
-        ACKS.incr();
-        obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        self.maybe_compact(&mut st);
-        Ok(())
+        self.group.ack(lease)
     }
 
     /// Returns `lease` unprocessed: the item is requeued for redelivery
@@ -489,206 +345,26 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
     /// the budget. `tid` is the caller's thread id on the dead-letter
     /// queue.
     pub fn nack(&self, tid: usize, lease: &Lease) -> Result<Redelivery, LeaseError> {
-        let mut st = self.state.lock();
-        if st.settling.contains(&lease.id) {
-            return Err(LeaseError::NotInFlight);
-        }
-        let Some(f) = st.inflight.remove(&lease.id) else {
-            return Err(LeaseError::NotInFlight);
-        };
-        st.stats.nacked += 1;
-        NACKS.incr();
-        let outcome = self.settle_returned(&mut st, tid, lease.id, f.item, f.delivery_count);
-        if let Redelivery::Requeued {
-            next_delivery_count,
-        } = outcome
-        {
-            obs::flight::record(EventKind::LeaseNack, lease.id, next_delivery_count as u64);
-        }
-        Ok(outcome)
+        self.group.nack(tid, lease)
     }
 
-    /// Reaps every lease whose deadline has passed, requeueing (or
-    /// dead-lettering) the items exactly as [`nack`](Self::nack) would.
-    /// Runs implicitly at the start of every [`dequeue`](Self::dequeue);
-    /// call it directly to observe timeouts without consuming. Returns the
-    /// number of leases reaped.
+    /// Reaps every lease whose deadline has passed (see
+    /// [`ConsumerGroup::reap_expired`]). Returns the number reaped.
     pub fn reap_expired(&self, tid: usize) -> usize {
-        let mut st = self.state.lock();
-        self.reap_locked(&mut st, tid, Instant::now())
+        self.group.reap_expired(tid)
     }
 
-    fn reap_locked(&self, st: &mut LeaseState, tid: usize, now: Instant) -> usize {
-        let mut reaped = 0;
-        while let Some(&Reverse((deadline, id))) = st.deadlines.peek() {
-            if deadline > now {
-                break;
-            }
-            st.deadlines.pop();
-            // Lazy deletion: the heap entry is stale unless the lease is
-            // still in flight with exactly this deadline.
-            match st.inflight.get(&id) {
-                Some(f) if f.deadline == deadline => {}
-                _ => continue,
-            }
-            let f = st.inflight.remove(&id).unwrap();
-            st.stats.expired += 1;
-            EXPIRIES.incr();
-            let outcome = self.settle_returned(st, tid, id, f.item, f.delivery_count);
-            if let Redelivery::Requeued {
-                next_delivery_count,
-            } = outcome
-            {
-                obs::flight::record(EventKind::LeaseExpire, id, next_delivery_count as u64);
-            }
-            reaped += 1;
-        }
-        reaped
-    }
-
-    /// An item came back (nack or expiry): requeue it for redelivery, or
-    /// dead-letter it if the next delivery would exceed the budget.
-    fn settle_returned(
+    /// Acks `lease` and applies the consumer's own writes in one redo-log
+    /// transaction on cursor stripe 0 — the exactly-once handoff (see
+    /// [`ConsumerGroup::ack_exactly_once`]).
+    pub fn ack_exactly_once<R>(
         &self,
-        st: &mut LeaseState,
         tid: usize,
-        id: u64,
-        item: u64,
-        delivery_count: u32,
-    ) -> Redelivery {
-        if self.max_deliveries > 0 && delivery_count >= self.max_deliveries {
-            // DLQ enqueue first, DEAD record second: a crash between the
-            // two duplicates into the DLQ (at-least-once) instead of
-            // losing the item.
-            let dlq = self.dlq.as_ref().expect("checked at construction");
-            dlq.enqueue(tid, item);
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Dead,
-                    delivery_count: 0,
-                    lease_id: id,
-                    item: 0,
-                    prev_lease_id: 0,
-                },
-            );
-            st.stats.dead_lettered += 1;
-            DEAD.incr();
-            obs::flight::record(EventKind::LeaseDead, id, item);
-            self.maybe_compact(st);
-            Redelivery::DeadLettered
-        } else {
-            let next = delivery_count + 1;
-            append_or_die(
-                &mut st.log,
-                &Record {
-                    kind: RecordKind::Pend,
-                    delivery_count: next,
-                    lease_id: id,
-                    item,
-                    prev_lease_id: 0,
-                },
-            );
-            st.pending.push_back(PendingItem {
-                prev: id,
-                item,
-                delivery_count: next,
-            });
-            Redelivery::Requeued {
-                next_delivery_count: next,
-            }
-        }
-    }
-
-    fn grant_locked(
-        &self,
-        st: &mut LeaseState,
-        now: Instant,
-        item: u64,
-        delivery_count: u32,
-        prev: u64,
-    ) -> Lease {
-        let id = st.next_id;
-        st.next_id += 1;
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Grant,
-                delivery_count,
-                lease_id: id,
-                item,
-                prev_lease_id: prev,
-            },
-        );
-        let deadline = now + self.lease_timeout;
-        st.inflight.insert(
-            id,
-            InFlight {
-                item,
-                delivery_count,
-                deadline,
-            },
-        );
-        push_deadline(
-            &mut st.deadlines,
-            deadline,
-            id,
-            st.inflight.len(),
-            st.inflight.iter().map(|(&id, f)| (f.deadline, id)),
-        );
-        st.stats.granted += 1;
-        GRANTS.incr();
-        obs::flight::record(EventKind::LeaseGrant, id, item);
-        if delivery_count > 1 {
-            st.stats.redelivered += 1;
-        }
-        Lease {
-            id,
-            item,
-            delivery_count,
-            deadline,
-        }
-    }
-
-    /// Compacts the ack log when retired records dominate the live set
-    /// 4:1 past the configured floor — the "acked prefix dominates" test.
-    fn maybe_compact(&self, st: &mut LeaseState) {
-        if self.compact_after == 0 {
-            return;
-        }
-        let live = (st.inflight.len() + st.pending.len()) as u64;
-        if st.log.records() <= self.compact_after || st.log.records() <= live * 4 {
-            return;
-        }
-        let snapshot: Vec<Record> = st
-            .inflight
-            .iter()
-            .map(|(&id, f)| Record {
-                kind: RecordKind::Grant,
-                delivery_count: f.delivery_count,
-                lease_id: id,
-                item: f.item,
-                prev_lease_id: 0,
-            })
-            .chain(st.pending.iter().map(|p| Record {
-                kind: RecordKind::Pend,
-                delivery_count: p.delivery_count,
-                lease_id: p.prev,
-                item: p.item,
-                prev_lease_id: 0,
-            }))
-            .collect();
-        // The snapshot only holds live leases, so the id high-water mark
-        // rides the rewritten header — without it, settling the
-        // highest-numbered leases and then crashing would reuse their ids.
-        let next_id = st.next_id;
-        let live_records = snapshot.len() as u64;
-        if let Err(e) = st.log.compact(next_id, snapshot) {
-            panic!("ack log compaction failed: {e}");
-        }
-        st.stats.compactions += 1;
-        COMPACTIONS.incr();
-        obs::flight::record(EventKind::LeaseCompaction, live_records, 0);
+        lease: &Lease,
+        eo: &crate::tx::ExactlyOnce,
+        body: impl FnOnce(&mut ptm::Tx<'_>) -> R,
+    ) -> Result<R, LeaseError> {
+        self.group.ack_exactly_once(tid, lease, eo, body)
     }
 
     // ------------------------------------------------------------------
@@ -697,43 +373,44 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
 
     /// The wrapped base queue.
     pub fn base(&self) -> &Q {
-        &self.base
+        self.group.queue().base()
     }
 
     /// The dead-letter queue, if one is attached.
     pub fn dlq(&self) -> Option<&Arc<dyn DurableQueue>> {
-        self.dlq.as_ref()
+        self.group.dlq()
     }
 
     /// Volatile counters since creation/recovery.
     pub fn stats(&self) -> LeaseStats {
-        self.state.lock().stats
+        self.group.stats()
     }
 
     /// Leases currently in a consumer's hands.
     pub fn in_flight(&self) -> usize {
-        self.state.lock().inflight.len()
+        self.group.in_flight()
     }
 
     /// Items awaiting redelivery (nacked/expired/recovered, not yet
     /// regranted).
     pub fn pending_redelivery(&self) -> usize {
-        self.state.lock().pending.len()
+        self.group.pending_redelivery()
     }
 
-    /// Records currently in the ack log (drops after compaction).
+    /// Ack-log records replayed at open plus records appended since
+    /// (see [`LeaseStats::log_records`]).
     pub fn log_records(&self) -> u64 {
-        self.state.lock().log.records()
+        self.stats().log_records
     }
 
     /// The configured lease timeout.
     pub fn lease_timeout(&self) -> Duration {
-        self.lease_timeout
+        self.group.queue().lease_timeout()
     }
 
     /// The configured delivery budget (`0` = unlimited).
     pub fn max_deliveries(&self) -> u32 {
-        self.max_deliveries
+        self.group.queue().max_deliveries()
     }
 }
 
@@ -741,163 +418,22 @@ impl<Q: KeyedQueue> LeasedQueue<Q> {
     /// Key-routed enqueue on the base queue (per-key FIFO when the base is
     /// a key-hash sharded queue).
     pub fn enqueue_keyed(&self, tid: usize, key: u64, item: u64) {
-        self.base.enqueue_keyed(tid, key, item);
-    }
-}
-
-impl LeaseState {
-    fn fresh(log: AckLog) -> Self {
-        LeaseState {
-            log,
-            inflight: HashMap::new(),
-            deadlines: DeadlineHeap::new(),
-            pending: VecDeque::new(),
-            settling: HashSet::new(),
-            // Lease id 0 is reserved: it is the "no previous lease"
-            // sentinel in GRANT records and the "nothing acked" sentinel
-            // in the exactly-once cursor.
-            next_id: 1,
-            stats: LeaseStats::default(),
-        }
-    }
-}
-
-/// Removes a lease's *settling* mark on unwind; disarmed on the normal
-/// path, where [`LeasedQueue::ack_exactly_once`] removes the mark itself
-/// under the settlement lock.
-struct SettlingMark<'a> {
-    state: &'a Mutex<LeaseState>,
-    id: u64,
-    armed: bool,
-}
-
-impl Drop for SettlingMark<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.state.lock().settling.remove(&self.id);
-        }
-    }
-}
-
-fn append_or_die(log: &mut AckLog, rec: &Record) {
-    if let Err(e) = log.append(rec) {
-        panic!(
-            "ack log append failed ({}): {e}; the log's durability is now \
-             unknowable, restart and replay",
-            log.path().display()
-        );
-    }
-}
-
-// ----------------------------------------------------------------------
-// Exactly-once handoff
-// ----------------------------------------------------------------------
-
-impl<Q: DurableQueue> LeasedQueue<Q> {
-    /// Acks `lease` and applies the consumer's own writes in **one**
-    /// redo-log transaction — the exactly-once handoff. `body` runs inside
-    /// the transaction (use [`Tx::write`](ptm::Tx::write) for the
-    /// consumer's state, e.g. its processed-offset root); the transaction
-    /// additionally records `lease.id` in the per-thread exactly-once
-    /// cursor, so its commit point settles the ack and the consumer's
-    /// state atomically. After commit the sidecar ack record is appended;
-    /// if a crash swallows that append, recovery reads the cursor and
-    /// repairs it (see [`recover`](Self::recover)) — the item is **not**
-    /// redelivered.
-    ///
-    /// Fails with [`LeaseError::ThreadOutOfRange`] — before anything runs,
-    /// marks, or commits — if `tid` does not fit the cursor's
-    /// `MAX_THREADS` stripe, instead of panicking mid-transaction.
-    ///
-    /// Fails with [`LeaseError::NotInFlight`] *before* running `body` if
-    /// the lease already settled — including when another settlement
-    /// (`ack`, `nack`, or a concurrent `ack_exactly_once`) already owns it:
-    /// the lease is marked *settling* under the lock before the transaction
-    /// starts, so at most one settlement body ever runs per lease and a
-    /// racing caller's side effects are never applied twice. If the lease
-    /// expires while the transaction runs, the committed work stands; when
-    /// the item has not been regranted yet the ack still wins (the pending
-    /// redelivery is cancelled), otherwise the handoff degrades to
-    /// at-least-once for this item (counted in [`LeaseStats::late_acks`]).
-    pub fn ack_exactly_once<R>(
-        &self,
-        tid: usize,
-        lease: &Lease,
-        eo: &crate::tx::ExactlyOnce,
-        body: impl FnOnce(&mut ptm::Tx<'_>) -> R,
-    ) -> Result<R, LeaseError> {
-        // Validate the cursor address before taking any lock or marking
-        // anything settling: an invalid tid used to surface as an assert
-        // *inside* the transaction, after the caller's body had run.
-        if tid >= pmem::MAX_THREADS {
-            return Err(LeaseError::ThreadOutOfRange {
-                tid,
-                max: pmem::MAX_THREADS,
-            });
-        }
-        let generation = {
-            let mut st = self.state.lock();
-            let in_pending = st.pending.iter().any(|p| p.prev == lease.id);
-            if st.settling.contains(&lease.id)
-                || (!st.inflight.contains_key(&lease.id) && !in_pending)
-            {
-                return Err(LeaseError::NotInFlight);
-            }
-            st.settling.insert(lease.id);
-            st.log.generation()
-        };
-        // The mark must come off even if `body` unwinds, or the lease could
-        // never be settled again; on the normal path it is removed under
-        // the same lock that settles, so no second settlement can slip in
-        // between transaction commit and settlement.
-        let mut mark = SettlingMark {
-            state: &self.state,
-            id: lease.id,
-            armed: true,
-        };
-        let out = eo.run(0, tid, lease.id, generation, body);
-        let mut st = self.state.lock();
-        st.settling.remove(&lease.id);
-        mark.armed = false;
-        if st.inflight.remove(&lease.id).is_some() {
-            st.stats.acked += 1;
-        } else if let Some(pos) = st.pending.iter().position(|p| p.prev == lease.id) {
-            // Expired mid-transaction but not yet regranted: the committed
-            // ack wins, cancel the redelivery.
-            st.pending.remove(pos);
-            st.stats.acked += 1;
-        } else {
-            // Regranted to another consumer before our commit: that grant
-            // retired this lease id, so there is nothing left to ack — the
-            // item will be delivered again despite the committed work.
-            st.stats.late_acks += 1;
-            return Ok(out);
-        }
-        ACKS.incr();
-        obs::flight::record(EventKind::LeaseAck, lease.id, 0);
-        append_or_die(
-            &mut st.log,
-            &Record {
-                kind: RecordKind::Ack,
-                delivery_count: 0,
-                lease_id: lease.id,
-                item: 0,
-                prev_lease_id: 0,
-            },
-        );
-        self.maybe_compact(&mut st);
-        Ok(out)
+        self.base().enqueue_keyed(tid, key, item);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{zero_last_record, HEADER_LEN, LEASE_LOG_FILE};
+    use crate::group::tests::deadline_ids;
+    use crate::log::tests::zero_last_record;
+    use crate::log::{Record, RecordKind, HEADER_LEN, LEASE_LOG_FILE, RECORD_LEN};
+    use crate::segments::GROUP_META_FILE;
     use crate::tx::ExactlyOnce;
     use durable_queues::{OptUnlinkedQueue, QueueConfig, RecoverableQueue};
     use pmem::{PmemPool, PoolConfig};
     use ptm::FlushPolicy;
+    use std::path::Path;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lease-queue-{tag}-{}", std::process::id()));
@@ -916,6 +452,21 @@ mod tests {
 
     fn drain(q: &dyn DurableQueue) -> Vec<u64> {
         std::iter::from_fn(|| q.dequeue(0)).collect()
+    }
+
+    /// A configuration whose ack log rotates every few records, so a short
+    /// test crosses segment boundaries and retires segments.
+    fn small_segments(dir: &Path) -> LeaseConfig {
+        LeaseConfig::new(dir).with_compact_after(3)
+    }
+
+    /// Every valid record of `dir`'s first segment, in append order.
+    fn segment_zero_records(dir: &Path) -> Vec<Record> {
+        let bytes = std::fs::read(dir.join("segment-0000.log")).unwrap();
+        bytes[HEADER_LEN..]
+            .chunks_exact(RECORD_LEN)
+            .map_while(Record::decode)
+            .collect()
     }
 
     #[test]
@@ -1068,31 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_live_leases_and_shrinks_the_log() {
-        let dir = tmp("compact");
-        let cfg = LeaseConfig::new(&dir).with_compact_after(16);
-        let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
-        let keeper_item = 777u64;
-        q.enqueue(0, keeper_item);
-        let keeper = q.dequeue(0).unwrap(); // stays in flight throughout
-        for i in 1..=40u64 {
-            q.enqueue(0, i);
-            let l = q.dequeue(0).unwrap();
-            q.ack(&l).unwrap();
-        }
-        assert!(q.stats().compactions >= 1, "compaction never triggered");
-        assert!(q.log_records() < 40, "log did not shrink");
-        drop(q);
-
-        let (q, rec) = LeasedQueue::recover(fresh_base(), None, cfg, None).unwrap();
-        assert_eq!(rec.redelivered, 1, "live lease lost by compaction");
-        let r = q.dequeue(0).unwrap();
-        assert_eq!((r.item, r.delivery_count), (keeper_item, 2));
-        assert!(r.id > keeper.id);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn deadline_heap_stays_bounded_by_the_in_flight_set() {
         // Acked leases leave lazily deleted heap entries behind until their
         // timeout; with an hour-long timeout nothing ever expires, so only
@@ -1106,22 +632,19 @@ mod tests {
             q.enqueue(0, i);
             let l = q.dequeue(0).unwrap();
             q.ack(&l).unwrap();
-            let st = q.state.lock();
             // The bound is checked at each grant, when this cycle's lease
             // was in flight too.
-            let bound = 2 * (st.inflight.len() + 1) + 64;
+            let bound = 2 * (q.in_flight() + 1) + 64;
+            let heap = deadline_ids(&q.group).len();
             assert!(
-                st.deadlines.len() <= bound,
-                "after {i} cycles: {} heap entries for {} in flight",
-                st.deadlines.len(),
-                st.inflight.len()
+                heap <= bound,
+                "after {i} cycles: {heap} heap entries for {} in flight",
+                q.in_flight()
             );
         }
         // The rebuilt heap still expires what is really in flight.
         assert_eq!(q.in_flight(), 1);
-        let st = q.state.lock();
-        assert!(st.deadlines.iter().any(|Reverse((_, id))| *id == held.id));
-        drop(st);
+        assert!(deadline_ids(&q.group).contains(&held.id));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1132,7 +655,7 @@ mod tests {
         // lease's PEND record would stay live forever, resurrecting the
         // item on every recovery.
         let dir = tmp("id-zero");
-        let cfg = LeaseConfig::new(&dir);
+        let cfg = small_segments(&dir);
         {
             let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
             q.enqueue(0, 55);
@@ -1150,13 +673,13 @@ mod tests {
 
     #[test]
     fn lease_ids_survive_compaction_that_retires_the_highest_ids() {
-        // Regression: compaction snapshots only *live* leases, so when the
-        // highest-numbered leases were all settled the rewritten log held
-        // no witness of the id high-water mark; recovery then reused ids,
-        // which a stale exactly-once cursor could silently repair-ack. The
-        // mark now rides the compacted header.
+        // Regression family: retirement unlinks settled segments, so when
+        // the highest-numbered leases are all settled the surviving
+        // records may not witness the id high-water mark; recovery then
+        // reused ids, which a stale exactly-once cursor could silently
+        // repair-ack. The mark rides every rotated segment's header.
         let dir = tmp("compact-ids");
-        let cfg = LeaseConfig::new(&dir).with_compact_after(8);
+        let cfg = LeaseConfig::new(&dir).with_compact_after(2);
         let max_id = {
             let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
             let mut max_id = 0;
@@ -1165,11 +688,11 @@ mod tests {
                 let l = q.dequeue(0).unwrap();
                 max_id = l.id;
                 q.ack(&l).unwrap();
-                if q.stats().compactions >= 1 && q.log_records() == 0 {
+                if q.stats().compactions >= 3 {
                     break;
                 }
             }
-            assert_eq!(q.log_records(), 0, "never reached an empty compacted log");
+            assert!(q.stats().compactions >= 3, "segments never retired");
             max_id
         };
         assert!(max_id > 1);
@@ -1193,7 +716,7 @@ mod tests {
         // The settling mark now makes any concurrent settlement attempt
         // fail with NotInFlight before its body runs.
         let dir = tmp("settling");
-        let q = LeasedQueue::create(fresh_base(), None, LeaseConfig::new(&dir)).unwrap();
+        let q = LeasedQueue::create(fresh_base(), None, small_segments(&dir)).unwrap();
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
         let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
         q.enqueue(0, 11);
@@ -1223,7 +746,7 @@ mod tests {
         // already run — here the error comes back before anything does,
         // and the lease stays settleable.
         let dir = tmp("bad-tid");
-        let q = LeasedQueue::create(fresh_base(), None, LeaseConfig::new(&dir)).unwrap();
+        let q = LeasedQueue::create(fresh_base(), None, small_segments(&dir)).unwrap();
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
         let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
         q.enqueue(0, 3);
@@ -1249,23 +772,31 @@ mod tests {
     #[test]
     fn committed_tx_ack_with_lost_sidecar_record_is_repaired() {
         let dir = tmp("tx-repair");
-        let cfg = LeaseConfig::new(&dir);
+        let cfg = LeaseConfig::new(&dir).with_compact_after(4);
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
         let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
         let consumer_state = pool.alloc_raw(8, 8);
-        {
+        let id = {
             let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
+            // Three plain cycles fill segment 0 and start segment 1, so
+            // the transactional GRANT/ACK pair lands in a rotated segment.
+            for i in 1..=3u64 {
+                q.enqueue(0, i);
+                let l = q.dequeue(0).unwrap();
+                q.ack(&l).unwrap();
+            }
             q.enqueue(0, 9);
             let l = q.dequeue(0).unwrap();
             q.ack_exactly_once(0, &l, &eo, |tx| tx.write(consumer_state, 99))
                 .unwrap();
-        }
+            assert!(q.stats().rotations >= 1);
+            l.id
+        };
         // Simulate the documented crash window: the transaction committed
-        // (cursor + consumer state durable) but the sidecar ACK append was
-        // lost — zero its slot, leaving only the GRANT.
-        let path = dir.join(LEASE_LOG_FILE);
-        let lost = zero_last_record(&path, HEADER_LEN);
-        assert_eq!((lost.kind, lost.lease_id), (RecordKind::Ack, 1));
+        // (cursor + consumer state durable) but the ACK append was lost —
+        // zero its slot in the active segment, leaving only the GRANT.
+        let lost = zero_last_record(&dir);
+        assert_eq!((lost.kind, lost.lease_id), (RecordKind::Ack, id));
 
         let (q, rec) = LeasedQueue::recover(fresh_base(), None, cfg, Some(&eo)).unwrap();
         assert_eq!(rec.tx_acked, 1, "committed ack not repaired");
@@ -1280,7 +811,7 @@ mod tests {
         // an old consumer pool with a recreated ack log let a stale lease
         // id repair-ack an unrelated in-flight lease of the new log.
         let dir = tmp("stale-cursor");
-        let cfg = LeaseConfig::new(&dir);
+        let cfg = small_segments(&dir);
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
         let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
         {
@@ -1310,7 +841,7 @@ mod tests {
     #[test]
     fn lease_ids_are_unique_and_monotonic_across_recovery() {
         let dir = tmp("ids");
-        let cfg = LeaseConfig::new(&dir);
+        let cfg = small_segments(&dir);
         let max_id = {
             let q = LeasedQueue::create(fresh_base(), None, cfg.clone()).unwrap();
             q.enqueue(0, 1);
@@ -1323,6 +854,75 @@ mod tests {
         let (q, _) = LeasedQueue::recover(fresh_base(), None, cfg, None).unwrap();
         let r = q.dequeue(0).unwrap();
         assert!(r.id > max_id, "recovered grant reused a lease id");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_one_group_consume_writes_a_fresh_grant_and_an_ack_and_no_pend() {
+        // The direct pop→GRANT path: a fresh item costs exactly the
+        // GRANT(prev 0) + ACK pair, with no PEND hop in between.
+        let dir = tmp("record-mix");
+        let q = LeasedQueue::create(fresh_base(), None, LeaseConfig::new(&dir)).unwrap();
+        q.enqueue(0, 21);
+        let l = q.dequeue(0).unwrap();
+        q.ack(&l).unwrap();
+        let grant = Record {
+            kind: RecordKind::Grant,
+            delivery_count: 1,
+            lease_id: l.id,
+            item: 21,
+            prev_lease_id: 0,
+        };
+        let ack = Record::terminal(RecordKind::Ack, l.id);
+        assert_eq!(segment_zero_records(&dir), vec![grant, ack]);
+        assert_eq!(q.stats().dispatched, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_leases_log_from_an_older_build_is_refused_and_left_intact() {
+        // A version 3 single-file log, byte for byte as the older build
+        // wrote it: header (magic, version, id high-water mark,
+        // generation, CRC), one GRANT whose item exists nowhere else, and
+        // the zeroed preallocated tail.
+        let dir = tmp("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = vec![0u8; 4096];
+        bytes[0..8].copy_from_slice(b"DQLEASE1");
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        bytes[12..20].copy_from_slice(&2u64.to_le_bytes());
+        bytes[20..28].copy_from_slice(&0xABCD_0000u64.to_le_bytes());
+        let crc = store::crc32(&bytes[0..28]);
+        bytes[28..32].copy_from_slice(&crc.to_le_bytes());
+        let grant = Record {
+            kind: RecordKind::Grant,
+            delivery_count: 1,
+            lease_id: 1,
+            item: 42,
+            prev_lease_id: 0,
+        };
+        bytes[32..32 + RECORD_LEN].copy_from_slice(&grant.encode());
+        let path = dir.join(LEASE_LOG_FILE);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = LeasedQueue::recover(fresh_base(), None, LeaseConfig::new(&dir), None)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(LEASE_LOG_FILE), "{msg}");
+        assert!(msg.contains("older build"), "{msg}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "legacy log modified");
+        assert!(
+            !dir.join(GROUP_META_FILE).exists(),
+            "a refused directory gained a fresh log"
+        );
+
+        // A fresh deployment in the same directory discards the old log,
+        // so it does not block the fresh one's recovery.
+        drop(LeasedQueue::create(fresh_base(), None, LeaseConfig::new(&dir)).unwrap());
+        assert!(!path.exists(), "create kept the legacy log");
+        LeasedQueue::recover(fresh_base(), None, LeaseConfig::new(&dir), None).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,26 +1,26 @@
-//! Rotating ack-log segments: the per-group replacement for whole-file
-//! compaction.
+//! Rotating ack-log segments: every consumer group's ack log.
 //!
-//! A [`SegmentedLog`] stores the same 40-byte CRC'd [`Record`]s as the
-//! single-file [`AckLog`](crate::log::AckLog), but spread over a directory
-//! of numbered segment files instead of one file that must periodically be
-//! rewritten in full:
+//! A [`SegmentedLog`] stores the 40-byte CRC'd [`Record`]s of one group in
+//! a directory of numbered segment files instead of one file that must
+//! periodically be rewritten in full:
 //!
 //! ```text
-//! groups/<name>/
+//! <log dir>/            # groups/<name>/, or a LeasedQueue's own directory
 //!   GROUP.meta          # generation + retirement watermark (atomic rewrite)
 //!   segment-0000.log    # sealed (may already be retired/unlinked)
 //!   segment-0001.log    # sealed
 //!   segment-0002.log    # active (appends go here)
 //! ```
 //!
-//! Compaction in the single-file log stops the world: every live lease is
-//! re-serialised into a tmp file while the state lock is held. Here the
-//! retired prefix simply *ages out*: once the active segment holds
-//! `rotate_records` records, a fresh segment is created (**rotation**) and
-//! appends move there; once a sealed segment no longer holds the latest
-//! live record of any lease, it is unlinked (**retirement**). Both are
-//! O(1)-ish in the live set — no stall, no full rewrite.
+//! Rewriting a whole log stops the world: every live lease is
+//! re-serialised while the state lock is held. Here the settled prefix
+//! simply *ages out*: once the active segment holds `rotate_records`
+//! records, a fresh segment is created (**rotation**) and appends move
+//! there; once a sealed segment no longer holds the latest live record of
+//! any lease, it is unlinked (**retirement**). Both are O(1)-ish in the
+//! live set — no stall, no full rewrite. Retirement is prefix-only, so a
+//! lease held for a long time keeps every later segment on disk until it
+//! settles, expires or is nacked (which moves it to the active segment).
 //!
 //! # Commit points
 //!
@@ -41,41 +41,41 @@
 //!
 //! Every segment header snapshots the lease-id high-water mark at its
 //! creation, so retiring the segments that witnessed the highest settled
-//! ids never loses the mark (the regression family the single-file log
-//! guards with its compacted header). The group's **generation** lives in
-//! `GROUP.meta`, is fixed at create time, and every segment header must
-//! carry it — a segment from another group (or another life of this group)
-//! is refused, and the exactly-once cursor uses it exactly as with the
-//! single-file log.
+//! ids never loses the mark. The group's **generation** (see
+//! [`log`](crate::log)) lives in `GROUP.meta`, is fixed at create time,
+//! and every segment header must carry it — a segment from another group
+//! (or another life of this group) is refused.
 //!
 //! # Appends and torn tails
 //!
-//! Each segment is a [`store::RecordLog`], the same mapped, preallocated
-//! record file as the single-file log: an append copies the record into
-//! the active segment's mapping (no syscall; an `msync` of its page under
+//! Each segment is a [`store::RecordLog`], a mapped record file
+//! preallocated in chunks: an append copies the record into the active
+//! segment's mapping (no syscall; an `msync` of its page under
 //! [`SyncPolicy::PowerFail`]), and replay scans each segment in place.
-//! Torn-tail handling per segment follows the single-file rules: only the
-//! *active* (highest-numbered) segment may end in a torn record, which is
-//! zeroed; a torn or corrupt record in a sealed segment, or a non-zero
-//! byte after any segment's last record, is real damage and is refused
-//! with an error naming the file.
+//! Only the *active* (highest-numbered) segment may end in a torn record,
+//! which is zeroed; a torn or corrupt record in a sealed segment, or a
+//! non-zero byte after any segment's last record, is real damage and is
+//! refused with an error naming the file.
 //!
 //! Version 1 segments end at their last record instead of a zeroed tail.
 //! They replay under the same rules; a version 1 *active* segment is
 //! sealed on open by rotating to a fresh current-version segment, so no
 //! file ever mixes the two layouts.
 
-use crate::log::{bad_data, fresh_generation, sync_parent, Record, RecordKind, Replay, RECORD_LEN};
+use crate::log::{
+    bad_data, fresh_generation, sync_parent, IdMap, Record, RecordKind, Replay, LEASE_LOG_FILE,
+    RECORD_LEN,
+};
 use obs::flight::EventKind;
 use obs::LazyCounter;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use store::{crc32, RecordLog, SyncPolicy};
 
-static ROTATIONS: LazyCounter = LazyCounter::new("lease.group.rotation");
-static RETIREMENTS: LazyCounter = LazyCounter::new("lease.group.retire");
+static ROTATIONS: LazyCounter = LazyCounter::new("lease.rotation");
+static RETIREMENTS: LazyCounter = LazyCounter::new("lease.retire");
 
 /// File name of the per-group meta file.
 pub const GROUP_META_FILE: &str = "GROUP.meta";
@@ -107,7 +107,7 @@ pub const GROUP_META_LEN: usize = 32;
 /// Default rotation threshold (records per segment).
 pub const DEFAULT_ROTATE_RECORDS: u64 = 4096;
 
-fn segment_path(dir: &Path, seq: u32) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, seq: u32) -> PathBuf {
     dir.join(format!("segment-{seq:04}.log"))
 }
 
@@ -119,6 +119,36 @@ fn segment_seq(name: &str) -> Option<u32> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// What a log directory holds.
+#[derive(Default)]
+pub(crate) struct Listing {
+    /// Sequence numbers of its segment files, ascending.
+    pub(crate) seqs: Vec<u32>,
+    /// Whether it also holds an older build's single-file ack log,
+    /// [`LEASE_LOG_FILE`].
+    pub(crate) legacy: bool,
+}
+
+/// Lists `dir` (empty for a missing directory).
+pub(crate) fn list_dir(dir: &Path) -> io::Result<Listing> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Listing::default()),
+        Err(e) => return Err(e),
+    };
+    let mut listing = Listing::default();
+    for entry in entries {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        if let Some(seq) = segment_seq(&name) {
+            listing.seqs.push(seq);
+        }
+        listing.legacy |= name == LEASE_LOG_FILE;
+    }
+    listing.seqs.sort_unstable();
+    Ok(listing)
 }
 
 fn segment_header(seq: u32, next_lease_id: u64, generation: u64) -> [u8; SEGMENT_HEADER_LEN] {
@@ -209,12 +239,67 @@ fn read_meta(dir: &Path) -> io::Result<Option<Meta>> {
     }))
 }
 
-/// What replaying a segment directory reconstructed: the single-file
+/// Which segment holds each live lease's latest live record, and how many
+/// live leases each surviving segment holds: a sealed segment holding none
+/// can retire. Appends and replay track records through the same rules.
+#[derive(Debug)]
+struct Residency {
+    /// Live lease → seq of the segment holding its latest live record.
+    resident: IdMap<u32>,
+    /// Seq of the oldest surviving segment, whose count is `live[0]`.
+    first_seq: u32,
+    /// Live leases per surviving segment, oldest first: one entry per
+    /// segment file.
+    live: VecDeque<u64>,
+}
+
+impl Residency {
+    fn new(first_seq: u32) -> Self {
+        Residency {
+            resident: IdMap::default(),
+            first_seq,
+            live: VecDeque::new(),
+        }
+    }
+
+    /// Starts counting the next segment (seq `first_seq + live.len()`).
+    fn open_segment(&mut self) {
+        self.live.push_back(0);
+    }
+
+    /// Folds in `rec`, just written to segment `seq`.
+    fn track(&mut self, rec: &Record, seq: u32) {
+        match rec.kind {
+            RecordKind::Grant => {
+                if rec.prev_lease_id != 0 {
+                    self.settle(rec.prev_lease_id);
+                }
+                self.place(rec.lease_id, seq);
+            }
+            RecordKind::Pend => self.place(rec.lease_id, seq),
+            RecordKind::Ack | RecordKind::Dead => self.settle(rec.lease_id),
+        }
+    }
+
+    fn place(&mut self, lease_id: u64, seq: u32) {
+        if let Some(old) = self.resident.insert(lease_id, seq) {
+            self.live[(old - self.first_seq) as usize] -= 1;
+        }
+        self.live[(seq - self.first_seq) as usize] += 1;
+    }
+
+    fn settle(&mut self, lease_id: u64) {
+        if let Some(seq) = self.resident.remove(&lease_id) {
+            self.live[(seq - self.first_seq) as usize] -= 1;
+        }
+    }
+}
+
+/// What replaying a segment directory reconstructed: the lease-state
 /// [`Replay`] plus segment accounting.
 #[derive(Clone, Debug, Default)]
 pub struct GroupReplay {
-    /// The lease-state reconstruction, identical in meaning to the
-    /// single-file log's replay.
+    /// The lease-state reconstruction.
     pub replay: Replay,
     /// Segment files present after replay (retirement roll-forward
     /// included).
@@ -225,10 +310,8 @@ pub struct GroupReplay {
     pub retired_leftovers: u32,
 }
 
-/// An append-only ack log spread over rotating segment files. Single-writer
-/// (all mutation goes through the owning group's lock), like [`AckLog`].
-///
-/// [`AckLog`]: crate::log::AckLog
+/// An append-only ack log spread over rotating segment files. Single-writer:
+/// all mutation goes through the owning group's lock.
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
@@ -240,15 +323,10 @@ pub struct SegmentedLog {
     retired_below: u32,
     active_seq: u32,
     active: RecordLog,
-    /// Total valid records across all surviving segments (replayed +
-    /// appended, minus retired files' contributions — recomputed only at
-    /// replay, so between opens this only grows).
+    /// Valid records replayed at open plus records appended since
+    /// (retirement does not subtract).
     records: u64,
-    /// Live lease → seq of the segment holding its latest live record.
-    resident: HashMap<u64, u32>,
-    /// Per existing segment: how many live leases reside in it. Every
-    /// on-disk segment has an entry (possibly 0).
-    seg_live: BTreeMap<u32, u64>,
+    residency: Residency,
     /// Rotations performed since open.
     rotations: u64,
     /// Segments retired (unlinked) since open.
@@ -260,9 +338,18 @@ pub struct SegmentedLog {
 
 impl SegmentedLog {
     /// Creates a fresh segmented log in `dir`: a new generation in
-    /// `GROUP.meta` and an empty `segment-0000.log`.
+    /// `GROUP.meta` and an empty `segment-0000.log`. Segment files of a
+    /// previous log in `dir`, and an older build's [`LEASE_LOG_FILE`], are
+    /// deleted first.
     pub fn create(dir: &Path, sync: SyncPolicy, rotate_records: u64) -> io::Result<SegmentedLog> {
         std::fs::create_dir_all(dir)?;
+        let old = list_dir(dir)?;
+        for seq in old.seqs {
+            std::fs::remove_file(segment_path(dir, seq))?;
+        }
+        if old.legacy {
+            std::fs::remove_file(dir.join(LEASE_LOG_FILE))?;
+        }
         let generation = fresh_generation();
         write_meta(dir, 0, generation, sync)?;
         Self::fresh(dir, sync, rotate_records, generation)
@@ -277,8 +364,8 @@ impl SegmentedLog {
         generation: u64,
     ) -> io::Result<SegmentedLog> {
         let active = Self::new_segment(dir, 0, 1, generation, sync)?;
-        let mut seg_live = BTreeMap::new();
-        seg_live.insert(0u32, 0u64);
+        let mut residency = Residency::new(0);
+        residency.open_segment();
         Ok(SegmentedLog {
             dir: dir.to_path_buf(),
             sync,
@@ -288,8 +375,7 @@ impl SegmentedLog {
             active_seq: 0,
             active,
             records: 0,
-            resident: HashMap::new(),
-            seg_live,
+            residency,
             rotations: 0,
             retired: 0,
             auto_retire: true,
@@ -321,21 +407,27 @@ impl SegmentedLog {
     /// [module docs](self)); a torn header or torn tail in the
     /// highest-numbered segment is rolled back or chopped; any damage in a
     /// sealed segment is refused with an error naming the file.
+    ///
+    /// A directory holding an older build's single-file
+    /// [`LEASE_LOG_FILE`] is refused with `InvalidData`, before anything
+    /// in it changes: that file is the only record of its unacked leases,
+    /// whose items were already popped from the base queue.
     pub fn replay(
         dir: &Path,
         sync: SyncPolicy,
         rotate_records: u64,
     ) -> io::Result<(SegmentedLog, GroupReplay)> {
         let meta = read_meta(dir)?;
-        let mut seqs: Vec<u32> = match std::fs::read_dir(dir) {
-            Ok(entries) => entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| segment_seq(&e.file_name().to_string_lossy()))
-                .collect(),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        seqs.sort_unstable();
+        let Listing { mut seqs, legacy } = list_dir(dir)?;
+        if legacy {
+            return Err(bad_data(
+                &dir.join(LEASE_LOG_FILE),
+                "single-file ack log written by an older build, which this build does not \
+                 read; drain the deployment with that build (its unacked leases exist only \
+                 in this file) before opening it here"
+                    .into(),
+            ));
+        }
         let Some(meta) = meta else {
             if seqs.is_empty() {
                 let log = SegmentedLog::create(dir, sync, rotate_records)?;
@@ -412,7 +504,7 @@ impl SegmentedLog {
             generation: meta.generation,
             ..Replay::default()
         };
-        let mut resident: HashMap<u64, u32> = HashMap::new();
+        let mut residency = Residency::new(seqs[0]);
         let last_seq = *seqs.last().unwrap();
         // The newest segment that opened with a valid header, and its
         // format version: the active segment once the loop ends.
@@ -479,27 +571,13 @@ impl SegmentedLog {
             }
             replay.next_lease_id = replay.next_lease_id.max(header_next_id);
 
+            residency.open_segment();
             let torn = seg.scan(|slot| {
                 let Some(rec) = Record::decode(slot) else {
                     return false;
                 };
                 replay.apply(&rec);
-                // Residency mirrors the live set: a lease lives in the
-                // segment holding its latest live record.
-                match rec.kind {
-                    RecordKind::Grant => {
-                        if rec.prev_lease_id != 0 {
-                            resident.remove(&rec.prev_lease_id);
-                        }
-                        resident.insert(rec.lease_id, seq);
-                    }
-                    RecordKind::Pend => {
-                        resident.insert(rec.lease_id, seq);
-                    }
-                    RecordKind::Ack | RecordKind::Dead => {
-                        resident.remove(&rec.lease_id);
-                    }
-                }
+                residency.track(&rec, seq);
                 true
             })?;
             if torn > 0 {
@@ -525,11 +603,6 @@ impl SegmentedLog {
                 ),
             ));
         };
-        let mut seg_live: BTreeMap<u32, u64> = (seqs[0]..=active_seq).map(|s| (s, 0)).collect();
-        for &seq in resident.values() {
-            *seg_live.get_mut(&seq).expect("resident seq exists") += 1;
-        }
-
         let records = replay.records;
         let log_next_id = replay.next_lease_id;
         let mut log = SegmentedLog {
@@ -541,8 +614,7 @@ impl SegmentedLog {
             active_seq,
             active,
             records,
-            resident,
-            seg_live,
+            residency,
             rotations: 0,
             retired: 0,
             auto_retire: true,
@@ -555,7 +627,7 @@ impl SegmentedLog {
         // A crash between rotation and retirement leaves fully-settled
         // sealed segments behind; finish their retirement now.
         log.retire_prefix()?;
-        let segments = log.seg_live.len() as u32;
+        let segments = log.segments();
         Ok((
             log,
             GroupReplay {
@@ -580,40 +652,11 @@ impl SegmentedLog {
         }
         self.active.append(&rec.encode())?;
         self.records += 1;
-
-        // Residency bookkeeping mirrors replay: a lease lives in the
-        // segment holding its latest live record.
-        match rec.kind {
-            RecordKind::Grant => {
-                if rec.prev_lease_id != 0 {
-                    self.unresident(rec.prev_lease_id);
-                }
-                self.make_resident(rec.lease_id);
-            }
-            RecordKind::Pend => self.make_resident(rec.lease_id),
-            RecordKind::Ack | RecordKind::Dead => self.unresident(rec.lease_id),
-        }
-
+        self.residency.track(rec, self.active_seq);
         if self.auto_retire {
             self.retire_prefix()?;
         }
         Ok(())
-    }
-
-    fn make_resident(&mut self, lease_id: u64) {
-        if let Some(old) = self.resident.insert(lease_id, self.active_seq) {
-            *self.seg_live.get_mut(&old).expect("old seq exists") -= 1;
-        }
-        *self
-            .seg_live
-            .get_mut(&self.active_seq)
-            .expect("active seq exists") += 1;
-    }
-
-    fn unresident(&mut self, lease_id: u64) {
-        if let Some(seq) = self.resident.remove(&lease_id) {
-            *self.seg_live.get_mut(&seq).expect("seq exists") -= 1;
-        }
     }
 
     /// Seals the active segment and opens the next one. The new header
@@ -629,15 +672,10 @@ impl SegmentedLog {
             self.sync,
         )?;
         self.active_seq = new_seq;
-        self.seg_live.insert(new_seq, 0);
+        let sealed_live = self.residency.live.iter().sum();
+        self.residency.open_segment();
         self.rotations += 1;
         ROTATIONS.incr();
-        let sealed_live: u64 = self
-            .seg_live
-            .iter()
-            .filter(|&(&s, _)| s != new_seq)
-            .map(|(_, &n)| n)
-            .sum();
         obs::flight::record(EventKind::LeaseSegmentRotate, new_seq as u64, sealed_live);
         Ok(())
     }
@@ -647,14 +685,13 @@ impl SegmentedLog {
     /// rolled forward by the next replay rather than resurrecting settled
     /// leases.
     fn retire_prefix(&mut self) -> io::Result<()> {
-        while let Some((&seq, &live)) = self.seg_live.first_key_value() {
-            if seq >= self.active_seq || live != 0 {
-                break;
-            }
+        while self.residency.first_seq < self.active_seq && self.residency.live[0] == 0 {
+            let seq = self.residency.first_seq;
             write_meta(&self.dir, seq + 1, self.generation, self.sync)?;
             self.retired_below = seq + 1;
             std::fs::remove_file(segment_path(&self.dir, seq))?;
-            self.seg_live.remove(&seq);
+            self.residency.live.pop_front();
+            self.residency.first_seq += 1;
             self.retired += 1;
             RETIREMENTS.incr();
             obs::flight::record(EventKind::LeaseSegmentRetire, seq as u64, 0);
@@ -667,14 +704,15 @@ impl SegmentedLog {
         self.generation
     }
 
-    /// Valid records across the surviving segments (replayed + appended).
+    /// Valid records replayed at open plus records appended since
+    /// (retirement does not subtract).
     pub fn records(&self) -> u64 {
         self.records
     }
 
     /// Segment files currently on disk.
     pub fn segments(&self) -> u32 {
-        self.seg_live.len() as u32
+        self.residency.live.len() as u32
     }
 
     /// The active (append-target) segment's sequence number.

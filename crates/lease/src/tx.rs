@@ -22,10 +22,9 @@
 //!    cursor pair update in one [`Ptm::run`] transaction. The persisted
 //!    commit status word is the atomic point: either the consumer's state
 //!    *and* the ack are durable, or neither is.
-//! 3. The sidecar ack-log record is appended only after commit. If a crash
+//! 3. The ack-log record is appended only after commit. If a crash
 //!    swallows it, recovery reads the cursor
-//!    ([`ExactlyOnce::acked_ids`] /
-//!    [`ExactlyOnce::acked_ids_in`]) and repairs the missing record
+//!    ([`ExactlyOnce::acked_ids_in`]) and repairs the missing record
 //!    instead of redelivering — see
 //!    [`LeasedQueue::recover`](crate::LeasedQueue::recover). Only entries
 //!    stamped with the *current* log's generation count: a cursor paired
@@ -145,24 +144,15 @@ impl ExactlyOnce {
         self.groups
     }
 
-    /// Lease ids whose ack transaction committed *under the ack log with
-    /// the given generation*, across every stripe. Single-group recovery
-    /// ([`LeasedQueue::recover`](crate::LeasedQueue::recover)) feeds this
-    /// the replayed log's generation so those leases are repaired instead
-    /// of redelivered; entries stamped by an older or recreated log are
-    /// ignored — their lease-id space is unrelated, and repairing by a
-    /// stale id would silently consume someone else's in-flight item.
-    pub fn acked_ids(&self, generation: u64) -> Vec<u64> {
-        (0..self.groups)
-            .flat_map(|g| self.acked_ids_in(g, generation))
-            .collect()
-    }
-
-    /// Lease ids whose ack transaction committed on stripe `group` under
-    /// the generation — the per-group form grouped recovery uses. Each
-    /// group's segmented log has its own generation, so even a wrong
-    /// `group` here repairs nothing (the stamps cannot match), but the
-    /// stripe filter keeps the scan exact.
+    /// Lease ids whose ack transaction committed on stripe `group` *under
+    /// the ack log with the given generation*. Recovery feeds this each
+    /// group's replayed log generation so those leases are repaired
+    /// instead of redelivered; entries stamped by an older or recreated
+    /// log are ignored — their lease-id space is unrelated, and repairing
+    /// by a stale id would silently consume someone else's in-flight item.
+    /// Each group's log has its own generation, so even a wrong `group`
+    /// here repairs nothing (the stamps cannot match), but the stripe
+    /// filter keeps the scan exact.
     ///
     /// # Panics
     /// If `group` is not a stripe of this engine.
@@ -235,22 +225,22 @@ mod tests {
         let generation = 7777u64;
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
         let eo = ExactlyOnce::create(Arc::clone(&pool), FlushPolicy::BatchedCommit);
-        assert!(eo.acked_ids(generation).is_empty());
+        assert!(eo.acked_ids_in(0, generation).is_empty());
 
         let consumer_state = pool.alloc_raw(8, 8);
         eo.run(0, 3, 41, generation, |tx| tx.write(consumer_state, 1000));
-        assert_eq!(eo.acked_ids(generation), vec![41]);
+        assert_eq!(eo.acked_ids_in(0, generation), vec![41]);
         // A different log generation sees nothing: its lease-id space is
         // unrelated, so the committed ack must not repair anything there.
-        assert!(eo.acked_ids(generation + 1).is_empty());
+        assert!(eo.acked_ids_in(0, generation + 1).is_empty());
 
         // Crash: the committed transaction must survive into the cursor
         // and the consumer's own word, atomically.
         let crashed = Arc::new(pool.simulate_crash());
         let eo2 = ExactlyOnce::recover(Arc::clone(&crashed), FlushPolicy::BatchedCommit);
         assert_eq!(eo2.groups(), 1);
-        assert_eq!(eo2.acked_ids(generation), vec![41]);
-        assert!(eo2.acked_ids(generation + 1).is_empty());
+        assert_eq!(eo2.acked_ids_in(0, generation), vec![41]);
+        assert!(eo2.acked_ids_in(0, generation + 1).is_empty());
         assert_eq!(crashed.load_u64(consumer_state), 1000);
     }
 

@@ -16,7 +16,7 @@
 //! correctness — growth commits, lease grants — are already in durable logs
 //! of their own.)
 //!
-//! Torn-record handling borrows the CRC discipline of `LEASES.log`: every
+//! Torn-record handling borrows the CRC discipline of the lease ack log: every
 //! record carries a CRC over its payload, and [`replay`] drops slots that
 //! fail it (a kill mid-store tears at most the records being written at
 //! that instant). The ack log goes further: it ends at its first invalid
@@ -100,7 +100,9 @@ pub enum EventKind {
     LeaseExpire = 8,
     /// An item was dead-lettered: `a` = lease id, `b` = item.
     LeaseDead = 9,
-    /// The ack log compacted: `a` = live records kept.
+    /// A single-file ack log compacted: `a` = live records kept. No
+    /// longer recorded (the segmented ack log retires segments instead);
+    /// kept so rings written by older builds still decode.
     LeaseCompaction = 10,
     /// Recovery began: `a` = shard count.
     RecoveryStart = 11,
@@ -109,8 +111,9 @@ pub enum EventKind {
     RecoveryPhase = 12,
     /// Recovery finished: `a` = shards recovered, `b` = wall ns.
     RecoveryDone = 13,
-    /// An item was fanned out from the base queue to every consumer
-    /// group's pending set: `a` = item, `b` = group count.
+    /// An item was popped from the base queue and handed to every
+    /// consumer group (a grant in the popping consumer's group, a pending
+    /// entry in the others): `a` = item, `b` = group count.
     LeaseDispatch = 14,
     /// A consumer group's ack log rotated to a fresh segment: `a` = new
     /// segment seq, `b` = live leases resident in the sealed segments.
