@@ -1,5 +1,5 @@
 //! What peek-lock consumption costs over destructive dequeues: the same
-//! enqueue/consume pair through three consume paths on one base algorithm
+//! enqueue/consume pair through each consume path on one base algorithm
 //! (`OptUnlinkedQueue`, the paper's best second-amendment queue):
 //!
 //! * `destructive` — the bare queue: `dequeue` removes the item, a
@@ -14,12 +14,11 @@
 //! * `exactly-once` — `ack_exactly_once`: the ack rides a `ptm` redo-log
 //!   transaction together with one consumer-side word write, so the
 //!   commit point settles both atomically,
-//! * `grouped-1` / `grouped-2` — `lease::GroupedQueue` with one and two
-//!   consumer groups: the consuming group pops the item and pays only its
-//!   GRANT (no PEND) and ACK appends, and every *other* group pays one
-//!   PEND append, so `grouped-1` is the same engine and record mix as
-//!   `peek-lock-process-crash` and `grouped-2` adds the fan-out cost (not
-//!   competition).
+//! * `grouped-2` — `lease::GroupedQueue` with two consumer groups: the
+//!   consuming group pops the item and pays only its GRANT (no PEND) and
+//!   ACK appends, and the other group pays one PEND append, so the row
+//!   minus `peek-lock-process-crash` (the same engine with one group) is
+//!   the fan-out cost (not competition).
 //!
 //! ```bash
 //! cargo bench --bench lease_overhead           # full run
@@ -29,7 +28,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use durable_queues::{DurableQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue};
 use harness::ptm::FlushPolicy;
-use lease::{ExactlyOnce, GroupConfig, GroupedQueue, LeaseConfig, LeasedQueue};
+use lease::{ExactlyOnce, GroupedQueue, LeaseConfig, LeasedQueue};
 use pmem::{PmemPool, PoolConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,20 +103,20 @@ fn consume_pair(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // The grouped rows: every consume-pair grants the popped item straight
-    // into g0 (GRANT + ACK) and PENDs it into every other group, whose
-    // copies just accumulate in its pending set. Rotation is left at its
-    // default cadence so the measured cost includes the amortised
-    // rotate/retire path.
-    for groups in [1usize, 2] {
-        let tag = format!("grouped-{groups}");
-        let dir = log_dir(&tag);
-        let names: Vec<String> = (0..groups).map(|g| format!("g{g}")).collect();
+    // The grouped row: every consume-pair grants the popped item straight
+    // into g0 (GRANT + ACK) and PENDs it into g1, whose copies just
+    // accumulate in its pending set. Rotation is left at its default
+    // cadence so the measured cost includes the amortised rotate/retire
+    // path.
+    {
+        let tag = "grouped-2";
+        let dir = log_dir(tag);
         let queue = Arc::new(
             GroupedQueue::create(
                 base_queue(),
-                vec![None; groups],
-                GroupConfig::new(&dir, names),
+                vec![None, None],
+                LeaseConfig::new(&dir),
+                ["g0", "g1"],
             )
             .expect("create grouped queue"),
         );
@@ -127,7 +126,7 @@ fn consume_pair(c: &mut Criterion) {
         while let Some(l) = consumer.dequeue(0) {
             consumer.ack(&l).expect("prefill ack");
         }
-        group.bench_function(BenchmarkId::new("mode", &tag), |b| {
+        group.bench_function(BenchmarkId::new("mode", tag), |b| {
             b.iter(|| {
                 queue.enqueue(0, 7);
                 let lease = consumer.dequeue(0).expect("dispatched item grants");

@@ -3,31 +3,28 @@
 //!
 //! ```text
 //! harness lease [--shards 1,2,4] [--ops N] [--nack-percent P]
-//!               [--consumers N] [--groups G] [--work-ns X]
+//!               [--groups G] [--consumers N] [--work-ns X]
 //!               [--algo A] [--policy rr|keyhash|load]
 //!               [--sync process-crash|power-fail] [--dir PATH]
 //!               [--json PATH] [--quick]
 //! ```
 //!
-//! One producer thread enqueues `--ops` items through a file-backed
-//! [`lease::LeasedQueue`] deployment while one consumer drains it under
-//! peek-lock: every delivery is acked, except that `--nack-percent` of
-//! the items are nacked on their first delivery and acked on redelivery,
-//! so the measured rate includes real redelivery traffic and every run
-//! exercises the ack log's grant/ack/pend record mix. The table reports
-//! end-to-end consumed throughput, the ack rate, and the lease-layer
-//! counters (granted / redelivered / nacked / compactions, the last being
-//! the ack-log segments retired).
+//! One producer thread enqueues `--ops` items into a file-backed
+//! deployment of `G` consumer groups ([`lease::GroupedQueue`], made by
+//! [`lease::create_grouped_dir`]; default 1): every group sees every
+//! item, and `N` consumers per group (default 1) compete for them under
+//! peek-lock. Every delivery is acked, except that `--nack-percent` of the
+//! items are nacked on their first delivery and acked on redelivery, so
+//! the measured rate includes real redelivery traffic and every run
+//! exercises the ack log's grant/ack/pend record mix. Before each ack a
+//! consumer waits `--work-ns` nanoseconds (default 0) of simulated
+//! per-item work — a yielding wait modelling downstream I/O, outside any
+//! lock — so within-group scaling is visible rather than hidden behind an
+//! empty critical section. A consumer that finds nothing yields.
 //!
-//! With `--groups G` (or `--consumers N` > 1) the sweep switches to the
-//! consumer-group deployment ([`lease::GroupedQueue`]): `G` groups each
-//! see every item, `N` consumers per group compete for them, and each
-//! delivery waits `--work-ns` nanoseconds of simulated per-item work
-//! (a yielding wait modelling downstream I/O, outside any lock) so
-//! within-group scaling is visible rather than hidden behind an empty
-//! critical section. The table reports the aggregate acked rate
-//! (`G * ops / wall`) plus the per-group segment rotation/retirement
-//! counters summed across groups.
+//! The table reports the aggregate acked rate (`G * ops / wall`) plus the
+//! lease-layer counters summed across groups: grants, redeliveries, nacks,
+//! and the ack-log segment rotations, retirements and files left.
 //!
 //! The SIGKILL round ([`run_lease_kill_round`]) spawns this same binary
 //! as a `lease-child`, kills it while it holds live leases, reopens the
@@ -40,14 +37,14 @@ use crate::algorithms::Algorithm;
 use crate::with_recoverable;
 use durable_queues::QueueConfig;
 use lease::{
-    create_grouped_dir, create_leased_dir, open_leased_dir, GroupDirConfig, LeaseDirConfig,
-    LeaseStats, Redelivery,
+    create_grouped_dir, create_leased_dir, open_leased_dir, LeaseDirConfig, LeaseStats, Redelivery,
 };
 use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use store::{FileConfig, SyncPolicy};
 
@@ -58,13 +55,13 @@ pub struct LeaseVerbConfig {
     pub algorithm: Algorithm,
     /// Shard counts to sweep (one table row each).
     pub shard_counts: Vec<usize>,
-    /// Items the producer enqueues (and the consumer must ack).
+    /// Items the producer enqueues (and every group must ack).
     pub ops: u64,
     /// Percent of items nacked on first delivery (acked on redelivery).
     pub nack_percent: u32,
-    /// Working directory for the pool files and ack log.
+    /// Working directory for the pool files and ack logs.
     pub dir: PathBuf,
-    /// Fence durability policy of the file pools and the ack log.
+    /// Fence durability policy of the file pools and the ack logs.
     pub sync: SyncPolicy,
     /// Routing policy of the sharded base.
     pub policy: RoutePolicy,
@@ -73,13 +70,12 @@ pub struct LeaseVerbConfig {
     /// Power-fail group-commit window in nanoseconds for the shard pools
     /// (`None` = per-thread fences); see [`store::FileConfig::group_commit`].
     pub group_commit: Option<u64>,
-    /// Competing consumers per group (`> 1`, or `groups > 1`, selects the
-    /// grouped sweep).
-    pub consumers: usize,
     /// Consumer groups, each seeing every item.
     pub groups: usize,
-    /// Simulated per-delivery work in nanoseconds (grouped sweep only),
-    /// burned outside every lock.
+    /// Competing consumers per group.
+    pub consumers: usize,
+    /// Simulated per-delivery work in nanoseconds, burned outside every
+    /// lock before the ack.
     pub work_ns: u64,
 }
 
@@ -95,9 +91,9 @@ impl Default for LeaseVerbConfig {
             policy: RoutePolicy::RoundRobin,
             pool_bytes: 64 << 20,
             group_commit: None,
-            consumers: 1,
             groups: 1,
-            work_ns: 20_000,
+            consumers: 1,
+            work_ns: 0,
         }
     }
 }
@@ -112,13 +108,9 @@ impl LeaseVerbConfig {
             ..LeaseVerbConfig::default()
         }
     }
-
-    /// Whether this configuration selects the consumer-group sweep.
-    pub fn is_grouped(&self) -> bool {
-        self.groups > 1 || self.consumers > 1
-    }
 }
 
+/// Queue sizing of the kill round's single-consumer deployment.
 fn queue_config() -> QueueConfig {
     QueueConfig {
         max_threads: 8,
@@ -131,182 +123,13 @@ fn queue_config() -> QueueConfig {
 pub struct LeaseRow {
     /// Shard count of this row's deployment.
     pub shards: usize,
-    /// Wall-clock time from first enqueue to last ack.
-    pub wall: Duration,
-    /// End-to-end consumed (acked) items per second.
-    pub acked_per_sec: f64,
-    /// Lease-layer counters at the end of the run.
-    pub stats: LeaseStats,
-    /// Ack-log records appended during the run.
-    pub log_records: u64,
-}
-
-/// Runs the producer/consumer sweep: one row per shard count.
-pub fn run_lease(cfg: &LeaseVerbConfig) -> Vec<LeaseRow> {
-    cfg.shard_counts.iter().map(|&s| run_one(cfg, s)).collect()
-}
-
-fn run_one(cfg: &LeaseVerbConfig, shards: usize) -> LeaseRow {
-    let dir = cfg.dir.join(format!("sweep-{shards}shards"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("lease: create sweep dir");
-    let orch = RecoveryOrchestrator::new(shards);
-    let lease_cfg = LeaseDirConfig {
-        // Long enough that nothing expires mid-run: redelivery traffic
-        // comes from the nacks, not from timeouts.
-        lease_timeout: Duration::from_secs(600),
-        max_deliveries: 8,
-        sync: cfg.sync,
-        ..LeaseDirConfig::default()
-    };
-    let (wall, stats, log_records) = with_recoverable!(cfg.algorithm, Q => {
-        let queue = create_leased_dir::<Q>(
-            &orch,
-            &dir,
-            ShardConfig {
-                shards,
-                queue: queue_config(),
-                pool: pmem::PoolConfig::test_with_size(cfg.pool_bytes),
-                policy: cfg.policy,
-            },
-            FileConfig::with_size(cfg.pool_bytes)
-                .with_sync(cfg.sync)
-                .with_group_commit(cfg.group_commit),
-            &lease_cfg,
-        )
-        .expect("lease: create leased dir");
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            let q = &queue;
-            scope.spawn(move || {
-                for seq in 1..=cfg.ops {
-                    q.enqueue(0, seq);
-                }
-            });
-            scope.spawn(move || {
-                let mut acked = 0u64;
-                while acked < cfg.ops {
-                    let Some(l) = q.dequeue(1) else {
-                        std::hint::spin_loop();
-                        continue;
-                    };
-                    if l.delivery_count == 1 && l.item % 100 < cfg.nack_percent as u64 {
-                        // First delivery of a nack-designated item: send it
-                        // around again; it is acked on redelivery below.
-                        q.nack(1, &l).expect("lease: nack");
-                    } else {
-                        q.ack(&l).expect("lease: ack");
-                        acked += 1;
-                    }
-                }
-            });
-        });
-        let wall = started.elapsed();
-        (wall, queue.stats(), queue.log_records())
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    LeaseRow {
-        shards,
-        wall,
-        acked_per_sec: cfg.ops as f64 / wall.as_secs_f64(),
-        stats,
-        log_records,
-    }
-}
-
-/// Renders the sweep as the verb's table.
-pub fn render_lease(cfg: &LeaseVerbConfig, rows: &[LeaseRow]) -> String {
-    let mut out = format!(
-        "=== lease: peek-lock producer/consumer, {} x {} ops, {}% nacked once [{}] ===\n\
-         {:>7} {:>10} {:>12} {:>9} {:>12} {:>8} {:>13} {:>12}\n",
-        cfg.algorithm.name(),
-        cfg.ops,
-        cfg.nack_percent,
-        cfg.sync.key(),
-        "shards",
-        "wall ms",
-        "acked/s",
-        "granted",
-        "redelivered",
-        "nacked",
-        "compactions",
-        "log records",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>7} {:>10.1} {:>12.0} {:>9} {:>12} {:>8} {:>13} {:>12}\n",
-            r.shards,
-            r.wall.as_secs_f64() * 1e3,
-            r.acked_per_sec,
-            r.stats.granted,
-            r.stats.redelivered,
-            r.stats.nacked,
-            r.stats.compactions,
-            r.log_records,
-        ));
-    }
-    out
-}
-
-/// Renders the sweep as one machine-readable JSON experiment object
-/// (schema documented in the README under "Machine-readable results").
-pub fn lease_json(cfg: &LeaseVerbConfig, rows: &[LeaseRow]) -> String {
-    let mut obj = crate::jsonio::ExperimentObject::new("lease", "file", Some(cfg.sync.key()));
-    obj.str_field("algorithm", cfg.algorithm.name());
-    obj.str_field("policy", cfg.policy.key());
-    obj.str_field("sync", cfg.sync.key());
-    obj.field("ops", cfg.ops);
-    obj.field("nack_percent", cfg.nack_percent);
-    obj.field(
-        "group_commit_us",
-        cfg.group_commit
-            .map(|ns| (ns / 1_000).to_string())
-            .unwrap_or_else(|| String::from("null")),
-    );
-    for r in rows {
-        obj.row(format!(
-            "{{\"shards\": {}, \"wall_ms\": {}, \"acked_per_sec\": {}, \
-             \"granted\": {}, \"redelivered\": {}, \"nacked\": {}, \
-             \"dead_lettered\": {}, \"compactions\": {}, \"log_records\": {}}}",
-            r.shards,
-            r.wall.as_secs_f64() * 1e3,
-            r.acked_per_sec,
-            r.stats.granted,
-            r.stats.redelivered,
-            r.stats.nacked,
-            r.stats.dead_lettered,
-            r.stats.compactions,
-            r.log_records,
-        ));
-    }
-    obj.finish()
-}
-
-// ---------------------------------------------------------------------
-// Consumer-group sweep (`--consumers N --groups G`)
-// ---------------------------------------------------------------------
-
-/// One row of the consumer-group throughput table.
-#[derive(Clone, Debug)]
-pub struct LeaseGroupRow {
-    /// Shard count of this row's deployment.
-    pub shards: usize,
-    /// Wall-clock time from first enqueue to last ack in any group.
+    /// Wall-clock time from first enqueue to the last ack in any group.
     pub wall: Duration,
     /// Aggregate acked items per second across all groups
     /// (`groups * ops / wall`).
     pub acked_per_sec: f64,
-    /// Lease-layer counters summed across groups.
+    /// Lease-layer counters at the end of the run, summed across groups.
     pub stats: LeaseStats,
-}
-
-fn grouped_queue_config(cfg: &LeaseVerbConfig) -> QueueConfig {
-    QueueConfig {
-        // One producer slot plus one per consumer thread, floor 8 so tiny
-        // runs match the ungrouped sweep's sizing.
-        max_threads: (1 + cfg.groups * cfg.consumers).max(8),
-        area_size: 1 << 20,
-    }
 }
 
 fn group_names(groups: usize) -> Vec<String> {
@@ -329,32 +152,29 @@ fn simulate_work(work_ns: u64) {
     }
 }
 
-/// Runs the consumer-group sweep: one row per shard count; every group
-/// must ack all `ops` items through `consumers` competing consumers.
-pub fn run_lease_groups(cfg: &LeaseVerbConfig) -> Vec<LeaseGroupRow> {
-    cfg.shard_counts
-        .iter()
-        .map(|&s| run_one_grouped(cfg, s))
-        .collect()
+/// Runs the producer/consumer sweep: one row per shard count; every group
+/// must ack all `ops` items through its `consumers` competing consumers.
+pub fn run_lease(cfg: &LeaseVerbConfig) -> Vec<LeaseRow> {
+    cfg.shard_counts.iter().map(|&s| run_one(cfg, s)).collect()
 }
 
-fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
+fn run_one(cfg: &LeaseVerbConfig, shards: usize) -> LeaseRow {
     let dir = cfg.dir.join(format!(
-        "groups-{shards}shards-{}x{}",
+        "sweep-{shards}shards-{}x{}",
         cfg.groups, cfg.consumers
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("lease-groups: create sweep dir");
+    std::fs::create_dir_all(&dir).expect("lease: create sweep dir");
     let orch = RecoveryOrchestrator::new(shards);
-    let group_cfg = GroupDirConfig {
+    let lease_cfg = LeaseDirConfig {
         // Long enough that nothing expires mid-run: redelivery traffic
         // comes from the nacks, not from timeouts.
         lease_timeout: Duration::from_secs(600),
         sync: cfg.sync,
         // Low enough that every run rotates and retires segments, so the
         // reported rotation counters always carry signal.
-        rotate_records: 8_192,
-        ..GroupDirConfig::new(group_names(cfg.groups))
+        compact_after: 8_192,
+        ..LeaseDirConfig::default()
     };
     let (wall, stats) = with_recoverable!(cfg.algorithm, Q => {
         let queue = create_grouped_dir::<Q>(
@@ -362,17 +182,23 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
             &dir,
             ShardConfig {
                 shards,
-                queue: grouped_queue_config(cfg),
+                queue: QueueConfig {
+                    // One producer slot plus one per consumer thread.
+                    max_threads: (1 + cfg.groups * cfg.consumers).max(8),
+                    area_size: 1 << 20,
+                },
                 pool: pmem::PoolConfig::test_with_size(cfg.pool_bytes),
                 policy: cfg.policy,
             },
             FileConfig::with_size(cfg.pool_bytes)
                 .with_sync(cfg.sync)
                 .with_group_commit(cfg.group_commit),
-            &group_cfg,
+            &lease_cfg,
+            group_names(cfg.groups),
         )
-        .expect("lease-groups: create grouped dir");
+        .expect("lease: create grouped dir");
         let handles = queue.handles();
+        let acked: Vec<AtomicU64> = handles.iter().map(|_| AtomicU64::new(0)).collect();
         let started = Instant::now();
         std::thread::scope(|scope| {
             let q = &queue;
@@ -381,14 +207,10 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
                     q.enqueue(0, seq);
                 }
             });
-            for (g, handle) in handles.iter().enumerate() {
-                let acked = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+            for (g, (handle, acked)) in handles.iter().zip(&acked).enumerate() {
                 for c in 0..cfg.consumers {
-                    let handle = handle.clone();
-                    let acked = std::sync::Arc::clone(&acked);
                     let tid = 1 + g * cfg.consumers + c;
                     scope.spawn(move || {
-                        use std::sync::atomic::Ordering;
                         while acked.load(Ordering::Relaxed) < cfg.ops {
                             let Some(l) = handle.dequeue(tid) else {
                                 // Yield, don't spin: a miss means another
@@ -398,10 +220,13 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
                                 continue;
                             };
                             if l.delivery_count == 1 && l.item % 100 < cfg.nack_percent as u64 {
-                                handle.nack(tid, &l).expect("lease-groups: nack");
+                                // First delivery of a nack-designated item:
+                                // send it around again; it is acked on
+                                // redelivery.
+                                handle.nack(tid, &l).expect("lease: nack");
                             } else {
                                 simulate_work(cfg.work_ns);
-                                handle.ack(&l).expect("lease-groups: ack");
+                                handle.ack(&l).expect("lease: ack");
                                 acked.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -414,20 +239,12 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
         for handle in &handles {
             let s = handle.stats();
             assert_eq!(s.acked, cfg.ops, "group {} under-acked", handle.name());
-            stats.dispatched += s.dispatched;
-            stats.granted += s.granted;
-            stats.redelivered += s.redelivered;
-            stats.acked += s.acked;
-            stats.nacked += s.nacked;
-            stats.rotations += s.rotations;
-            stats.compactions += s.compactions;
-            stats.log_records += s.log_records;
-            stats.segments += s.segments;
+            stats += s;
         }
         (wall, stats)
     });
     let _ = std::fs::remove_dir_all(&dir);
-    LeaseGroupRow {
+    LeaseRow {
         shards,
         wall,
         acked_per_sec: (cfg.groups as u64 * cfg.ops) as f64 / wall.as_secs_f64(),
@@ -435,12 +252,12 @@ fn run_one_grouped(cfg: &LeaseVerbConfig, shards: usize) -> LeaseGroupRow {
     }
 }
 
-/// Renders the consumer-group sweep as the verb's table.
-pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> String {
+/// Renders the sweep as the verb's table.
+pub fn render_lease(cfg: &LeaseVerbConfig, rows: &[LeaseRow]) -> String {
     let mut out = format!(
-        "=== lease-groups: {} group(s) x {} consumer(s), {} x {} ops, \
+        "=== lease: {} group(s) x {} consumer(s), {} x {} ops, \
          {}% nacked once, {} ns/item [{}] ===\n\
-         {:>7} {:>10} {:>14} {:>9} {:>12} {:>10} {:>8} {:>12} {:>9}\n",
+         {:>7} {:>10} {:>14} {:>9} {:>12} {:>8} {:>10} {:>8} {:>12} {:>9}\n",
         cfg.groups,
         cfg.consumers,
         cfg.algorithm.name(),
@@ -453,6 +270,7 @@ pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Str
         "acked/s (agg)",
         "granted",
         "redelivered",
+        "nacked",
         "rotations",
         "retired",
         "log records",
@@ -460,12 +278,13 @@ pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Str
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>7} {:>10.1} {:>14.0} {:>9} {:>12} {:>10} {:>8} {:>12} {:>9}\n",
+            "{:>7} {:>10.1} {:>14.0} {:>9} {:>12} {:>8} {:>10} {:>8} {:>12} {:>9}\n",
             r.shards,
             r.wall.as_secs_f64() * 1e3,
             r.acked_per_sec,
             r.stats.granted,
             r.stats.redelivered,
+            r.stats.nacked,
             r.stats.rotations,
             r.stats.compactions,
             r.stats.log_records,
@@ -475,18 +294,23 @@ pub fn render_lease_groups(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> Str
     out
 }
 
-/// Renders the consumer-group sweep as one machine-readable JSON
-/// experiment object (`"experiment": "lease_groups"`).
-pub fn lease_groups_json(cfg: &LeaseVerbConfig, rows: &[LeaseGroupRow]) -> String {
-    let mut obj =
-        crate::jsonio::ExperimentObject::new("lease_groups", "file", Some(cfg.sync.key()));
+/// Renders the sweep as one machine-readable JSON experiment object
+/// (schema documented in the README under "Machine-readable results").
+pub fn lease_json(cfg: &LeaseVerbConfig, rows: &[LeaseRow]) -> String {
+    let mut obj = crate::jsonio::ExperimentObject::new("lease", "file", Some(cfg.sync.key()));
     obj.str_field("algorithm", cfg.algorithm.name());
     obj.str_field("policy", cfg.policy.key());
     obj.str_field("sync", cfg.sync.key());
     obj.field("ops", cfg.ops);
     obj.field("nack_percent", cfg.nack_percent);
-    obj.field("consumers", cfg.consumers);
+    obj.field(
+        "group_commit_us",
+        cfg.group_commit
+            .map(|ns| (ns / 1_000).to_string())
+            .unwrap_or_else(|| String::from("null")),
+    );
     obj.field("groups", cfg.groups);
+    obj.field("consumers", cfg.consumers);
     obj.field("work_ns", cfg.work_ns);
     for r in rows {
         obj.row(format!(
@@ -717,7 +541,9 @@ pub fn run_lease_kill_round(
         (queue, report)
     });
     let recovery = begun.elapsed();
-    let lease_rec = report.lease.expect("lease recovery counts in the report");
+    let [lease_rec] = &report.groups[..] else {
+        panic!("a leased dir reports one group: {:?}", report.groups);
+    };
 
     // Drain everything the recovered deployment will grant and check the
     // contract (mirrors crates/lease/tests/consumer_kill.rs).
@@ -850,6 +676,7 @@ mod tests {
             pool_bytes: 8 << 20,
             ..LeaseVerbConfig::default()
         };
+        assert_eq!((cfg.groups, cfg.consumers, cfg.work_ns), (1, 1, 0));
         let rows = run_lease(&cfg);
         assert_eq!(rows.len(), 2);
         for r in &rows {
@@ -859,11 +686,12 @@ mod tests {
             assert!(r.acked_per_sec > 0.0);
         }
         let table = render_lease(&cfg, &rows);
-        assert!(table.contains("acked/s"));
+        assert!(table.contains("1 group(s) x 1 consumer(s)"), "{table}");
         let json = lease_json(&cfg, &rows);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"experiment\": \"lease\""));
-        assert_eq!(json.matches("\"shards\"").count(), 2);
+        assert!(json.contains("\"groups\": 1"));
+        assert_eq!(json.matches("\"segments_retired\"").count(), 2);
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
@@ -875,13 +703,11 @@ mod tests {
             nack_percent: 10,
             consumers: 2,
             groups: 2,
-            work_ns: 0,
             dir: std::env::temp_dir().join(format!("lease-verb-group-{}", std::process::id())),
             pool_bytes: 8 << 20,
             ..LeaseVerbConfig::default()
         };
-        assert!(cfg.is_grouped());
-        let rows = run_lease_groups(&cfg);
+        let rows = run_lease(&cfg);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             // Every group acked every item (asserted per group inside the
@@ -892,11 +718,11 @@ mod tests {
             assert_eq!(r.stats.dead_lettered, 0);
             assert!(r.acked_per_sec > 0.0);
         }
-        let table = render_lease_groups(&cfg, &rows);
+        let table = render_lease(&cfg, &rows);
         assert!(table.contains("acked/s (agg)"));
-        let json = lease_groups_json(&cfg, &rows);
+        let json = lease_json(&cfg, &rows);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"experiment\": \"lease_groups\""));
+        assert!(json.contains("\"experiment\": \"lease\""));
         assert!(json.contains("\"consumers\": 2"));
         assert!(json.contains("\"groups\": 2"));
         assert_eq!(json.matches("\"shards\"").count(), 2);

@@ -25,8 +25,8 @@ use harness::fastpath::{self, fastpath_json, render_fastpath, run_fastpath};
 use harness::fsweep::{self, fsweep_json, render_fsweep, run_fsweep};
 use harness::jsonio::JsonSink;
 use harness::lease_verb::{
-    lease_groups_json, lease_json, render_lease, render_lease_groups, render_lease_kill_outcome,
-    run_lease, run_lease_child, run_lease_groups, run_lease_kill_round, LeaseVerbConfig,
+    lease_json, render_lease, render_lease_kill_outcome, run_lease, run_lease_child,
+    run_lease_kill_round, LeaseVerbConfig,
 };
 use harness::obs_verbs::{
     blackbox_json, metrics_json, render_blackbox, resolve_ring_path, warmed_snapshot,
@@ -479,15 +479,9 @@ fn cmd_lease(flags: &HashMap<String, String>) {
     cfg.sync = parse_sync(flags);
     cfg.group_commit = parse_group_commit(flags);
     let mut json = JsonSink::from_flags(flags);
-    if cfg.is_grouped() {
-        let rows = run_lease_groups(&cfg);
-        print!("{}", render_lease_groups(&cfg, &rows));
-        json.push(lease_groups_json(&cfg, &rows));
-    } else {
-        let rows = run_lease(&cfg);
-        print!("{}", render_lease(&cfg, &rows));
-        json.push(lease_json(&cfg, &rows));
-    }
+    let rows = run_lease(&cfg);
+    print!("{}", render_lease(&cfg, &rows));
+    json.push(lease_json(&cfg, &rows));
     json.write();
 }
 
@@ -633,11 +627,10 @@ fn main() {
                             and batch windows (--producers 1,2,4,8\n\
                             --windows 0,50,200 --fences N --pages K)\n\
                  lease      peek-lock producer/consumer throughput through a\n\
-                            leased deployment (ack rate, redelivery, ack-log\n\
-                            segments retired as compactions);\n\
-                            --groups G / --consumers N switch to the consumer-\n\
-                            group deployment (every group sees every item,\n\
-                            consumers within a group compete)\n\
+                            deployment of G consumer groups (every group sees\n\
+                            every item) with N competing consumers each,\n\
+                            default 1 x 1: aggregate ack rate, redelivery,\n\
+                            ack-log segment rotations/retirements\n\
                  metrics    drive a short leased workload, then dump the\n\
                             process-global instruments (Prometheus text, or a\n\
                             metrics experiment object with --json)\n\
@@ -657,7 +650,8 @@ fn main() {
                                --pool-bytes N --grow-step N   (file pools grow by\n\
                                >= N bytes on exhaustion; 0 = fixed size)\n\
                  lease:        --ops N --nack-percent P --shards 1,2,4\n\
-                               --consumers N --groups G --work-ns X\n\
+                               --groups G --consumers N   (default 1 x 1)\n\
+                               --work-ns X   (per-item consumer work, default 0)\n\
                  output:       --json PATH   (counts, shards, restart, fastpath,\n\
                                fsweep, lease, metrics, blackbox: JSON array\n\
                                of experiment objects; schema in README)\n\

@@ -1,69 +1,69 @@
-//! One-directory leased deployments: sharded base queue, dead-letter
-//! queue, and ack log side by side, created and reopened as a unit.
+//! One-directory lease deployments: sharded base queue, dead-letter
+//! queue(s), and ack log(s) side by side, created and reopened as a unit.
 //!
-//! Layout of a leased directory (everything the deployment owns lives in
-//! one place, so backup/restore is a directory copy):
+//! A leased (single-consumer) deployment is the one-group case of a
+//! grouped one. The two differ only in the list of group names and in
+//! where the one group's files live — at the top level, or under
+//! `groups/<name>/` — so one private create body and one private open
+//! body serve both, each over a list of per-group slots (group name, log
+//! directory; the group's dead-letter pool file sits in that directory).
+//! Everything the deployment owns lives in one place, so backup/restore
+//! is a directory copy:
 //!
 //! ```text
 //! deployment/
 //!   SHARDS.manifest     # shard count + routing policy (shard crate)
 //!   shard-00.pool …     # one pool file per shard
-//!   dead-letter.pool    # the DLQ's own pool file      (leased only)
-//!   GROUP.meta          # retirement watermark + generation (leased only)
-//!   segment-NNNN.log    # rotating ack-log segments     (leased only)
-//!   groups/             # consumer-group deployments only
+//!   dead-letter.pool    # the one group's DLQ pool     (leased)
+//!   GROUP.meta          # retirement watermark + generation (leased)
+//!   segment-NNNN.log    # rotating ack-log segments     (leased)
+//!   groups/             # (grouped)
 //!     <name>/
-//!       GROUP.meta      # the same chain, one per group
+//!       GROUP.meta      # the same files, one set per group
 //!       segment-NNNN.log
-//!       dead-letter.pool# that group's own DLQ pool
+//!       dead-letter.pool
 //! ```
 //!
-//! A leased deployment is the one-group case of a grouped one, with its
-//! group's chain at the top level. A `LEASES.log` in the top level is the
-//! single-file ack log of an older build, and [`open_leased_dir`] refuses
-//! it (see [`LeasedQueue::recover`]).
+//! A `LEASES.log` in a group's log directory is the single-file ack log of
+//! an older build, and opening refuses it (see [`LeasedQueue::recover`]).
 //!
-//! [`open_leased_dir`] recovers in dependency order — shards in parallel
-//! via [`RecoveryOrchestrator`], then the DLQ pool, then the ack-log
-//! replay — and reports the lease counts through
-//! [`RecoveryReport::lease`], so one report covers the whole restart.
-//! [`open_grouped_dir`] does the same for consumer-group deployments,
-//! replaying every group's segment chain and reporting each one through
-//! [`RecoveryReport::groups`].
+//! Opening recovers in dependency order — shards in parallel via
+//! [`RecoveryOrchestrator`], then each group's DLQ pool and segment-chain
+//! replay, timed together as the `lease-repair` phase — and reports one
+//! entry per group through [`RecoveryReport::groups`], so one report
+//! covers the whole restart. [`open_grouped_dir`] first checks that
+//! `groups/` holds exactly the configured groups.
 
-use crate::group::{GroupConfig, GroupedQueue, GROUPS_DIR};
-use crate::queue::{LeaseConfig, LeasedQueue};
+use crate::group::{check_group_set, check_names, grouped_slots, GroupedQueue, Slots};
+use crate::queue::{leased_slots, LeaseConfig, LeasedQueue};
 use crate::segments::DEFAULT_ROTATE_RECORDS;
 use durable_queues::{DurableQueue, QueueConfig, RecoverableQueue};
-use shard::{
-    GroupRecovery, LeaseRecovery, RecoveryOrchestrator, RecoveryReport, ShardConfig, ShardManifest,
-    ShardedQueue,
-};
+use shard::{RecoveryOrchestrator, RecoveryReport, ShardConfig, ShardManifest, ShardedQueue};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 use store::{FileConfig, FilePool, SyncPolicy};
 
-/// File name of the dead-letter queue's pool inside a leased directory.
+/// File name of a group's dead-letter pool inside its log directory.
 pub const DLQ_POOL_FILE: &str = "dead-letter.pool";
 
-/// Lease-layer options of a leased directory (the shard layer keeps its
-/// own [`ShardConfig`]/[`FileConfig`]).
+/// Lease-layer options of a deployment directory, shared by every group
+/// (the shard layer keeps its own [`ShardConfig`]/[`FileConfig`]).
 #[derive(Clone, Debug)]
 pub struct LeaseDirConfig {
     /// How long a consumer may hold a lease.
     pub lease_timeout: Duration,
-    /// Delivery budget before dead-lettering (`0` = unlimited; the DLQ
-    /// file is created either way).
+    /// Delivery budget before dead-lettering, per group (`0` = unlimited;
+    /// the DLQ files are created either way).
     pub max_deliveries: u32,
     /// Durability tier applied uniformly to the shard pools (on reopen),
-    /// the DLQ pool, and the ack log.
+    /// the DLQ pools, and the ack logs.
     pub sync: SyncPolicy,
     /// Ack-log segment rotation threshold (see
     /// [`LeaseConfig::compact_after`]).
     pub compact_after: u64,
-    /// Size of the dead-letter queue's pool file in bytes.
+    /// Size of each dead-letter queue's pool file in bytes.
     pub dlq_bytes: usize,
 }
 
@@ -89,6 +89,60 @@ impl LeaseDirConfig {
     }
 }
 
+type Deployment<Q> = GroupedQueue<ShardedQueue<Q>>;
+
+/// Creates the sharded base queue, then per slot a dead-letter queue of
+/// the same algorithm on its own pool file ([`DLQ_POOL_FILE`] in the
+/// slot's directory, which must exist) and a fresh segment chain.
+fn create<Q: RecoverableQueue + 'static>(
+    orch: &RecoveryOrchestrator,
+    dir: &Path,
+    shard: ShardConfig,
+    file: FileConfig,
+    lease: &LeaseDirConfig,
+    slots: Slots,
+) -> io::Result<Deployment<Q>> {
+    let queue_config = shard.queue;
+    let base = orch.create_dir::<Q>(dir, shard, file)?;
+    let dlq_file = FileConfig::with_size(lease.dlq_bytes).with_sync(lease.sync);
+    let mut dlqs = Vec::with_capacity(slots.len());
+    for (_, log_dir) in &slots {
+        let pool = FilePool::create(log_dir.join(DLQ_POOL_FILE), dlq_file)?.into_pool();
+        let dlq: Arc<dyn DurableQueue> = Arc::new(Q::create(pool, queue_config));
+        dlqs.push(Some(dlq));
+    }
+    GroupedQueue::create_in(base, dlqs, &lease.lease_config(dir), slots)
+}
+
+/// Reopens the shards in parallel (the manifest is the authority on count
+/// and policy), then — timed as the `lease-repair` phase, on the same
+/// clock as the report's manifest-resolution and shard-replay spans —
+/// every slot's DLQ pool and segment-chain replay, with the per-group
+/// counts landing in [`RecoveryReport::groups`].
+fn open<Q: RecoverableQueue + 'static>(
+    orch: &RecoveryOrchestrator,
+    dir: &Path,
+    queue: QueueConfig,
+    lease: &LeaseDirConfig,
+    slots: Slots,
+    cursor: Option<&crate::tx::ExactlyOnce>,
+) -> io::Result<(Deployment<Q>, RecoveryReport, ShardManifest)> {
+    let (base, mut report, manifest) = orch.open_dir_with_sync::<Q>(dir, queue, lease.sync)?;
+    let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
+        let mut dlqs = Vec::with_capacity(slots.len());
+        for (_, log_dir) in &slots {
+            let pool = FilePool::open_with_sync(log_dir.join(DLQ_POOL_FILE), lease.sync)?;
+            let dlq: Arc<dyn DurableQueue> = Arc::new(Q::recover(pool.into_pool(), queue));
+            dlqs.push(Some(dlq));
+        }
+        GroupedQueue::recover_in(base, dlqs, &lease.lease_config(dir), slots, cursor)
+    });
+    let (deployment, groups) = repaired?;
+    report.phases.push(repair_phase);
+    report.groups = groups;
+    Ok((deployment, report, manifest))
+}
+
 /// Creates a fresh leased deployment in `dir`: the sharded base queue
 /// (via [`RecoveryOrchestrator::create_dir`]), a dead-letter queue of the
 /// same algorithm on its own pool file, and a fresh ack-log segment chain.
@@ -99,22 +153,13 @@ pub fn create_leased_dir<Q: RecoverableQueue + 'static>(
     file: FileConfig,
     lease: &LeaseDirConfig,
 ) -> io::Result<LeasedQueue<ShardedQueue<Q>>> {
-    let queue_config = shard.queue;
-    let base = orch.create_dir::<Q>(dir, shard, file)?;
-    let dlq_pool = FilePool::create(
-        dir.join(DLQ_POOL_FILE),
-        FileConfig::with_size(lease.dlq_bytes).with_sync(lease.sync),
-    )?
-    .into_pool();
-    let dlq: Arc<dyn DurableQueue> = Arc::new(Q::create(dlq_pool, queue_config));
-    LeasedQueue::create(base, Some(dlq), lease.lease_config(dir))
+    create::<Q>(orch, dir, shard, file, lease, leased_slots(dir)).map(LeasedQueue::wrap)
 }
 
-/// Reopens a leased deployment after a restart: shards in parallel (the
-/// manifest is the authority on count and policy), then the DLQ pool,
-/// then the ack-log replay — in-flight leases become redeliverable with
-/// bumped delivery counts, and the counts land in
-/// [`RecoveryReport::lease`].
+/// Reopens a leased deployment after a restart: shards in parallel, then
+/// the DLQ pool, then the ack-log replay — in-flight leases become
+/// redeliverable with bumped delivery counts, and the counts land in the
+/// one entry of [`RecoveryReport::groups`].
 ///
 /// `cursor` is the deployment's exactly-once ack engine
 /// ([`ExactlyOnce`](crate::tx::ExactlyOnce), recovered from the consumer's
@@ -132,120 +177,31 @@ pub fn open_leased_dir<Q: RecoverableQueue + 'static>(
     lease: &LeaseDirConfig,
     cursor: Option<&crate::tx::ExactlyOnce>,
 ) -> io::Result<(LeasedQueue<ShardedQueue<Q>>, RecoveryReport, ShardManifest)> {
-    let (base, mut report, manifest) = orch.open_dir_with_sync::<Q>(dir, queue, lease.sync)?;
-    // The DLQ pool + ack-log replay are the lease layer's own recovery
-    // work; time them as a third phase on the same clock as the report's
-    // manifest-resolution and shard-replay spans.
-    let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
-        let dlq_pool = FilePool::open_with_sync(dir.join(DLQ_POOL_FILE), lease.sync)?.into_pool();
-        let dlq: Arc<dyn DurableQueue> = Arc::new(Q::recover(dlq_pool, queue));
-        LeasedQueue::recover(base, Some(dlq), lease.lease_config(dir), cursor)
-    });
-    let (leased, rec) = repaired?;
-    report.phases.push(repair_phase);
-    report.lease = Some(LeaseRecovery {
-        unacked: rec.unacked,
-        redelivered: rec.redelivered,
-        dead_lettered: rec.dead_lettered,
-        tx_acked: rec.tx_acked,
-        log_records: rec.log_records,
-    });
-    Ok((leased, report, manifest))
-}
-
-/// Lease-layer options of a *grouped* deployment: consumer groups fanning
-/// out over one sharded base queue, each with its own segment directory
-/// and dead-letter pool under `groups/<name>/`.
-#[derive(Clone, Debug)]
-pub struct GroupDirConfig {
-    /// Group names, in stripe order. Must be non-empty, unique, and
-    /// path-safe (`[A-Za-z0-9._-]+`).
-    pub groups: Vec<String>,
-    /// How long a consumer may hold a lease.
-    pub lease_timeout: Duration,
-    /// Delivery budget before dead-lettering, per group (`0` = unlimited;
-    /// each group's DLQ file is created either way).
-    pub max_deliveries: u32,
-    /// Durability tier applied uniformly to the shard pools (on reopen),
-    /// the per-group DLQ pools, and the segment logs.
-    pub sync: SyncPolicy,
-    /// Records per segment before rotation (`0` = never rotate).
-    pub rotate_records: u64,
-    /// Size of each group's dead-letter pool file in bytes.
-    pub dlq_bytes: usize,
-}
-
-impl GroupDirConfig {
-    /// A configuration with the given group names and the defaults: 30 s
-    /// lease timeout, budget of 8 deliveries, process-crash durability,
-    /// rotation every [`DEFAULT_ROTATE_RECORDS`] records, 8 MiB DLQ pools.
-    pub fn new(groups: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        GroupDirConfig {
-            groups: groups.into_iter().map(Into::into).collect(),
-            lease_timeout: Duration::from_secs(30),
-            max_deliveries: 8,
-            sync: SyncPolicy::default(),
-            rotate_records: DEFAULT_ROTATE_RECORDS,
-            dlq_bytes: 8 << 20,
-        }
-    }
-
-    fn group_config(&self, dir: &Path) -> GroupConfig {
-        GroupConfig::new(dir, self.groups.iter().cloned())
-            .with_timeout(self.lease_timeout)
-            .with_max_deliveries(self.max_deliveries)
-            .with_sync(self.sync)
-            .with_rotate_records(self.rotate_records)
-    }
-
-    /// Creates (or opens, for recovery) the per-group DLQ pools, in group
-    /// order.
-    fn dlqs<Q: RecoverableQueue + 'static>(
-        &self,
-        dir: &Path,
-        queue: QueueConfig,
-        fresh: bool,
-    ) -> io::Result<Vec<Option<Arc<dyn DurableQueue>>>> {
-        let mut dlqs = Vec::with_capacity(self.groups.len());
-        for name in &self.groups {
-            let group_dir = dir.join(GROUPS_DIR).join(name);
-            std::fs::create_dir_all(&group_dir)?;
-            let path = group_dir.join(DLQ_POOL_FILE);
-            let dlq: Arc<dyn DurableQueue> = if fresh {
-                let pool = FilePool::create(
-                    path,
-                    FileConfig::with_size(self.dlq_bytes).with_sync(self.sync),
-                )?
-                .into_pool();
-                Arc::new(Q::create(pool, queue))
-            } else {
-                let pool = FilePool::open_with_sync(path, self.sync)?.into_pool();
-                Arc::new(Q::recover(pool, queue))
-            };
-            dlqs.push(Some(dlq));
-        }
-        Ok(dlqs)
-    }
+    let (deployment, report, manifest) =
+        open::<Q>(orch, dir, queue, lease, leased_slots(dir), cursor)?;
+    Ok((LeasedQueue::wrap(deployment), report, manifest))
 }
 
 /// Creates a fresh grouped deployment in `dir`: the sharded base queue,
-/// plus — per consumer group — a segment directory and a dead-letter
-/// queue of the same algorithm under `groups/<name>/`.
+/// plus — per consumer group, named in stripe order (non-empty, unique,
+/// path-safe `[A-Za-z0-9._-]+`) — a segment chain and a dead-letter queue
+/// of the same algorithm under `groups/<name>/`. Bad names fail with
+/// `InvalidInput` before anything is created.
 pub fn create_grouped_dir<Q: RecoverableQueue + 'static>(
     orch: &RecoveryOrchestrator,
     dir: &Path,
     shard: ShardConfig,
     file: FileConfig,
-    group: &GroupDirConfig,
-) -> io::Result<Arc<GroupedQueue<ShardedQueue<Q>>>> {
-    let queue_config = shard.queue;
-    let base = orch.create_dir::<Q>(dir, shard, file)?;
-    let dlqs = group.dlqs::<Q>(dir, queue_config, true)?;
-    Ok(Arc::new(GroupedQueue::create(
-        base,
-        dlqs,
-        group.group_config(dir),
-    )?))
+    lease: &LeaseDirConfig,
+    groups: impl IntoIterator<Item = impl Into<String>>,
+) -> io::Result<Arc<Deployment<Q>>> {
+    let slots = grouped_slots(dir, groups);
+    // Checked here, not only by the engine, so a bad name creates nothing.
+    check_names(&slots)?;
+    for (_, log_dir) in &slots {
+        std::fs::create_dir_all(log_dir)?;
+    }
+    create::<Q>(orch, dir, shard, file, lease, slots).map(Arc::new)
 }
 
 /// Everything [`open_grouped_dir`] hands back: the recovered grouped
@@ -253,10 +209,15 @@ pub fn create_grouped_dir<Q: RecoverableQueue + 'static>(
 pub type OpenedGroupedDir<Q> = (Arc<GroupedQueue<Q>>, RecoveryReport, ShardManifest);
 
 /// Reopens a grouped deployment after a restart: shards in parallel, then
-/// every group's DLQ pool and segment-directory replay — each group's
+/// every group's DLQ pool and segment-chain replay — each group's
 /// in-flight leases become redeliverable with bumped delivery counts,
 /// independently of the other groups — with per-group counts landing in
 /// [`RecoveryReport::groups`].
+///
+/// `groups` must name exactly the groups the deployment was created with:
+/// a missing, extra or unknown name fails with `InvalidInput`, before
+/// anything in `dir` is created or modified (the order of the names is
+/// not checked; see `docs/FORMATS.md`).
 ///
 /// `cursor` is the deployment's exactly-once ack engine, recovered from
 /// the consumer's pool *before* this call and created with at least as
@@ -267,32 +228,14 @@ pub fn open_grouped_dir<Q: RecoverableQueue + 'static>(
     orch: &RecoveryOrchestrator,
     dir: &Path,
     queue: QueueConfig,
-    group: &GroupDirConfig,
+    lease: &LeaseDirConfig,
+    groups: impl IntoIterator<Item = impl Into<String>>,
     cursor: Option<&crate::tx::ExactlyOnce>,
 ) -> io::Result<OpenedGroupedDir<ShardedQueue<Q>>> {
-    let (base, mut report, manifest) = orch.open_dir_with_sync::<Q>(dir, queue, group.sync)?;
-    let (repaired, repair_phase) = shard::PhaseSpan::time("lease-repair", 3, || {
-        let dlqs = group.dlqs::<Q>(dir, queue, false)?;
-        GroupedQueue::recover(base, dlqs, group.group_config(dir), cursor)
-    });
-    let (grouped, recs) = repaired?;
-    report.phases.push(repair_phase);
-    report.groups = group
-        .groups
-        .iter()
-        .zip(recs)
-        .map(|(name, r)| GroupRecovery {
-            name: name.clone(),
-            unacked: r.unacked,
-            redelivered: r.redelivered,
-            dead_lettered: r.dead_lettered,
-            tx_acked: r.tx_acked,
-            log_records: r.log_records,
-            segments: r.segments,
-            retired_leftovers: r.retired_leftovers,
-        })
-        .collect();
-    Ok((Arc::new(grouped), report, manifest))
+    let slots = grouped_slots(dir, groups);
+    check_group_set(dir, &slots)?;
+    let (deployment, report, manifest) = open::<Q>(orch, dir, queue, lease, slots, cursor)?;
+    Ok((Arc::new(deployment), report, manifest))
 }
 
 #[cfg(test)]
@@ -301,6 +244,7 @@ mod tests {
     use durable_queues::DurableMsQueue;
     use pmem::PoolConfig;
     use shard::RoutePolicy;
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -354,7 +298,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(manifest.shards(), 2);
-        let lease = report.lease.expect("lease counts in the report");
+        let [lease] = &report.groups[..] else {
+            panic!("a leased dir reports one group: {:?}", report.groups);
+        };
+        assert_eq!(lease.name, crate::queue::GROUP_NAME);
         assert_eq!(lease.unacked, 1);
         assert_eq!(lease.redelivered, 1);
         assert_eq!(lease.dead_lettered, 0);
@@ -384,7 +331,8 @@ mod tests {
     fn grouped_dir_roundtrips_with_per_group_reports() {
         let dir = tmp("grouped-roundtrip");
         let orch = RecoveryOrchestrator::new(2);
-        let cfg = GroupDirConfig::new(["alpha", "beta"]);
+        let cfg = LeaseDirConfig::default();
+        let groups = ["alpha", "beta"];
         {
             let q = create_grouped_dir::<DurableMsQueue>(
                 &orch,
@@ -392,6 +340,7 @@ mod tests {
                 shard_config(2),
                 FileConfig::with_size(8 << 20),
                 &cfg,
+                groups,
             )
             .unwrap();
             for i in 1..=6u64 {
@@ -410,9 +359,15 @@ mod tests {
             }
         }
 
-        let (q, report, manifest) =
-            open_grouped_dir::<DurableMsQueue>(&orch, &dir, QueueConfig::small_test(), &cfg, None)
-                .unwrap();
+        let (q, report, manifest) = open_grouped_dir::<DurableMsQueue>(
+            &orch,
+            &dir,
+            QueueConfig::small_test(),
+            &cfg,
+            groups,
+            None,
+        )
+        .unwrap();
         assert_eq!(manifest.shards(), 2);
         assert_eq!(report.groups.len(), 2);
         assert_eq!(report.groups[0].name, "alpha");
@@ -440,6 +395,114 @@ mod tests {
         assert_eq!(rest, vec![4, 5, 6]);
         let beta = q.group("beta").unwrap();
         assert!(beta.dequeue(1).is_none(), "beta resurrected settled items");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every path under `dir` with its bytes (empty for directories).
+    fn snapshot(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = BTreeMap::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    todo.push(path.clone());
+                    out.insert(path, Vec::new());
+                } else {
+                    let bytes = std::fs::read(&path).unwrap();
+                    out.insert(path, bytes);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_path_unsafe_group_name_creates_nothing() {
+        let dir = tmp("unsafe-name");
+        let orch = RecoveryOrchestrator::new(1);
+        let err = create_grouped_dir::<DurableMsQueue>(
+            &orch,
+            &dir,
+            shard_config(1),
+            FileConfig::with_size(8 << 20),
+            &LeaseDirConfig::default(),
+            ["../evil"],
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "a refused create left {:?}", snapshot(&dir));
+    }
+
+    #[test]
+    fn reopening_with_a_different_group_set_is_refused_and_changes_nothing() {
+        let dir = tmp("group-set");
+        let orch = RecoveryOrchestrator::new(2);
+        let cfg = LeaseDirConfig {
+            dlq_bytes: 1 << 20,
+            ..LeaseDirConfig::default()
+        };
+        let open = |groups: &[&str]| {
+            open_grouped_dir::<DurableMsQueue>(
+                &orch,
+                &dir,
+                QueueConfig::small_test(),
+                &cfg,
+                groups.iter().copied(),
+                None,
+            )
+        };
+        {
+            let q = create_grouped_dir::<DurableMsQueue>(
+                &orch,
+                &dir,
+                shard_config(2),
+                FileConfig::with_size(8 << 20),
+                &cfg,
+                ["alpha", "beta"],
+            )
+            .unwrap();
+            for i in 1..=4u64 {
+                q.enqueue(0, i);
+            }
+        }
+        let before = snapshot(&dir);
+
+        // A group missing from the configuration: opening would pop items
+        // and fan them out to alpha alone, so beta would never see them.
+        // An unknown name would open as a fresh, empty group.
+        for (groups, named) in [
+            (&["alpha"][..], &["beta"][..]),
+            (&["alpha", "beta", "gamma"][..], &["gamma"][..]),
+            (&["gamma"][..], &["alpha", "beta", "gamma"][..]),
+        ] {
+            let err = open(groups).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{groups:?}: {err}");
+            let msg = err.to_string();
+            for name in named {
+                assert!(
+                    msg.contains(name),
+                    "{groups:?}: {msg:?} does not name {name}"
+                );
+            }
+            assert!(
+                snapshot(&dir) == before,
+                "{groups:?}: the refused open changed the directory"
+            );
+        }
+
+        // The deployment is intact: both groups still see all four items.
+        let (q, _, _) = open(&["alpha", "beta"]).unwrap();
+        for name in ["alpha", "beta"] {
+            let g = q.group(name).unwrap();
+            let mut seen = Vec::new();
+            while let Some(l) = g.dequeue(0) {
+                seen.push(l.item);
+                g.ack(&l).unwrap();
+            }
+            assert_eq!(seen, vec![1, 2, 3, 4], "group {name}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

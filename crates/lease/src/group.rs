@@ -5,11 +5,15 @@
 //! group compete for items (work-sharing within a group) — the two
 //! consumption shapes Gray's "Queues Are Databases" composes and every
 //! production broker ships. A plain [`LeasedQueue`](crate::LeasedQueue) is
-//! this engine with exactly one group. Each group owns:
+//! this engine with exactly one group. Both are configured by one
+//! [`LeaseConfig`] (timeout, delivery budget, sync tier, rotation
+//! threshold), which every group shares; a grouped queue takes the group
+//! names beside it. Each group owns:
 //!
 //! * a **[`SegmentedLog`]** in `groups/<name>/` (a `LeasedQueue`'s one
-//!   group keeps it in its own directory) — 40-byte CRC'd records in
-//!   rotating segments (see the [`segments`](crate::segments) docs),
+//!   group keeps it in [`LeaseConfig::dir`] itself) — 40-byte CRC'd
+//!   records in rotating segments (see the [`segments`](crate::segments)
+//!   docs),
 //! * its **own in-memory lease state behind its own lock** — competing
 //!   consumers of group A never contend with group B's,
 //! * its own dead-letter queue and delivery accounting.
@@ -47,19 +51,18 @@
 //! without clobbering its repair window.
 
 use crate::log::{IdMap, IdSet, Record, RecordKind};
-use crate::queue::{Lease, LeaseError, LeaseStats, RecoveredLeases, Redelivery};
-use crate::segments::{SegmentedLog, DEFAULT_ROTATE_RECORDS};
+use crate::queue::{Lease, LeaseConfig, LeaseError, LeaseStats, RecoveredLeases, Redelivery};
+use crate::segments::SegmentedLog;
 use durable_queues::{DurableQueue, KeyedQueue};
 use obs::flight::EventKind;
 use obs::LazyCounter;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use store::SyncPolicy;
 
 // Settlement instruments, mirroring the volatile `LeaseStats` (which reset
 // on recovery) with process-global monotonic counters the exporters read.
@@ -74,124 +77,116 @@ static DEAD: LazyCounter = LazyCounter::new("lease.dead");
 /// consumer group.
 pub const GROUPS_DIR: &str = "groups";
 
-/// Configuration of a [`GroupedQueue`].
-#[derive(Clone, Debug)]
-pub struct GroupConfig {
-    /// Deployment directory; each group's segments live in
-    /// `dir/groups/<name>/`.
-    pub dir: PathBuf,
-    /// Group names, in stripe order (index = the exactly-once cursor
-    /// stripe). Must be non-empty, unique, and path-safe.
-    pub groups: Vec<String>,
-    /// How long a consumer may hold a lease before it expires.
-    pub lease_timeout: Duration,
-    /// Delivery budget before dead-lettering, per group (`0` = unlimited;
-    /// non-zero requires a dead-letter queue per group).
-    pub max_deliveries: u32,
-    /// Durability tier of the segment logs.
-    pub sync: SyncPolicy,
-    /// Records per segment before rotation (`0` = never rotate).
-    pub rotate_records: u64,
+/// Every group's name paired with the directory of its segment chain, in
+/// stripe order.
+pub(crate) type Slots = Vec<(String, PathBuf)>;
+
+/// One slot per named group, with its chain in `dir/groups/<name>/`.
+pub(crate) fn grouped_slots(
+    dir: &Path,
+    groups: impl IntoIterator<Item = impl Into<String>>,
+) -> Slots {
+    groups
+        .into_iter()
+        .map(|name| {
+            let name = name.into();
+            let log_dir = dir.join(GROUPS_DIR).join(&name);
+            (name, log_dir)
+        })
+        .collect()
 }
 
-impl GroupConfig {
-    /// A configuration with the given deployment directory and group
-    /// names, and the defaults: 30 s lease timeout, unlimited deliveries,
-    /// process-crash durability, rotation every
-    /// [`DEFAULT_ROTATE_RECORDS`] records.
-    pub fn new(
-        dir: impl Into<PathBuf>,
-        groups: impl IntoIterator<Item = impl Into<String>>,
-    ) -> Self {
-        GroupConfig {
-            dir: dir.into(),
-            groups: groups.into_iter().map(Into::into).collect(),
-            lease_timeout: Duration::from_secs(30),
-            max_deliveries: 0,
-            sync: SyncPolicy::default(),
-            rotate_records: DEFAULT_ROTATE_RECORDS,
-        }
-    }
+fn invalid_input(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg.into())
+}
 
-    /// Overrides the lease timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.lease_timeout = timeout;
-        self
-    }
-
-    /// Overrides the delivery budget (`0` = unlimited).
-    pub fn with_max_deliveries(mut self, max: u32) -> Self {
-        self.max_deliveries = max;
-        self
-    }
-
-    /// Overrides the durability tier.
-    pub fn with_sync(mut self, sync: SyncPolicy) -> Self {
-        self.sync = sync;
-        self
-    }
-
-    /// Overrides the rotation threshold (`0` = never rotate).
-    pub fn with_rotate_records(mut self, records: u64) -> Self {
-        self.rotate_records = records;
-        self
-    }
-
-    /// Each group's segment directory, `dir/groups/<name>/`, in stripe
-    /// order.
-    fn group_dirs(&self) -> Vec<PathBuf> {
-        let groups = self.dir.join(GROUPS_DIR);
-        self.groups.iter().map(|name| groups.join(name)).collect()
-    }
-
-    fn validate(&self, dlqs: &[Option<Arc<dyn DurableQueue>>]) -> io::Result<()> {
-        if self.groups.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a grouped queue needs at least one consumer group",
-            ));
-        }
-        let unique: HashSet<&str> = self.groups.iter().map(String::as_str).collect();
-        if unique.len() != self.groups.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "consumer group names must be unique",
-            ));
-        }
-        for name in &self.groups {
-            if name.is_empty()
-                || !name
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "consumer group name {name:?} is not path-safe \
-                         (use [A-Za-z0-9._-]+)"
-                    ),
-                ));
+/// Fails with `InvalidInput` — before anything in `dir` is created or
+/// modified — unless `dir/groups/` holds exactly one subdirectory per
+/// slot. Reopening with a group missing would pop items and fan them out
+/// only to the configured groups, so the missing group's consumers would
+/// never see them; a name with no directory would open as a fresh, empty
+/// group.
+pub(crate) fn check_group_set(dir: &Path, slots: &Slots) -> io::Result<()> {
+    let groups = dir.join(GROUPS_DIR);
+    let mut on_disk = BTreeSet::new();
+    match std::fs::read_dir(&groups) {
+        Ok(entries) => {
+            for entry in entries {
+                let entry = entry?;
+                if entry.file_type()?.is_dir() {
+                    on_disk.insert(entry.file_name().to_string_lossy().into_owned());
+                }
             }
         }
-        if dlqs.len() != self.groups.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "expected one dead-letter slot per group ({} groups, {} slots)",
-                    self.groups.len(),
-                    dlqs.len()
-                ),
-            ));
-        }
-        if self.max_deliveries > 0 && dlqs.iter().any(Option::is_none) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "max_deliveries > 0 requires a dead-letter queue for every group \
-                 (overflow would otherwise drop items)",
-            ));
-        }
-        Ok(())
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
     }
+    let configured: BTreeSet<String> = slots.iter().map(|(name, _)| name.clone()).collect();
+    let missing: Vec<&String> = configured.difference(&on_disk).collect();
+    let extra: Vec<&String> = on_disk.difference(&configured).collect();
+    if missing.is_empty() && extra.is_empty() {
+        return Ok(());
+    }
+    Err(invalid_input(format!(
+        "{}: the configured consumer groups differ from the deployment's: \
+         configured but not on disk {missing:?}, on disk but not configured {extra:?}; \
+         reopen with the groups it was created with",
+        groups.display()
+    )))
+}
+
+/// Refuses group names that cannot each own a directory under `groups/`:
+/// no names at all, duplicates, or names that are not path-safe.
+pub(crate) fn check_names(slots: &Slots) -> io::Result<()> {
+    if slots.is_empty() {
+        return Err(invalid_input(
+            "a grouped queue needs at least one consumer group",
+        ));
+    }
+    let unique: HashSet<&str> = slots.iter().map(|(name, _)| name.as_str()).collect();
+    if unique.len() != slots.len() {
+        return Err(invalid_input("consumer group names must be unique"));
+    }
+    for (name, _) in slots {
+        if name.is_empty()
+            || name == "."
+            || name == ".."
+            || !name
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
+        {
+            return Err(invalid_input(format!(
+                "consumer group name {name:?} is not path-safe (use [A-Za-z0-9._-]+, \
+                 not . or ..)"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Refuses a group set the engine cannot run: bad names (see
+/// [`check_names`]), a dead-letter slot count that does not match, or a
+/// finite delivery budget without a dead-letter queue for every group.
+fn validate(
+    config: &LeaseConfig,
+    slots: &Slots,
+    dlqs: &[Option<Arc<dyn DurableQueue>>],
+) -> io::Result<()> {
+    check_names(slots)?;
+    if dlqs.len() != slots.len() {
+        return Err(invalid_input(format!(
+            "expected one dead-letter slot per group ({} groups, {} slots)",
+            slots.len(),
+            dlqs.len()
+        )));
+    }
+    if config.max_deliveries > 0 && dlqs.iter().any(Option::is_none) {
+        return Err(invalid_input(
+            "max_deliveries > 0 requires a dead-letter queue for every group \
+             (overflow would otherwise drop items)",
+        ));
+    }
+    Ok(())
 }
 
 /// Lease expiry order, earliest first, with lazy deletion: an entry is
@@ -252,15 +247,17 @@ impl GroupState {
     /// stripe `tx_acked` proves acked get their lost `ACK` repaired, and
     /// items whose next delivery would exceed the budget go to `dlq`.
     fn recover(
+        name: &str,
         dir: &Path,
-        config: &GroupConfig,
+        config: &LeaseConfig,
         dlq: Option<&Arc<dyn DurableQueue>>,
         tx_acked: impl FnOnce(u64) -> Vec<u64>,
     ) -> io::Result<(Self, RecoveredLeases)> {
-        let (log, gr) = SegmentedLog::replay(dir, config.sync, config.rotate_records)?;
+        let (log, gr) = SegmentedLog::replay(dir, config.sync, config.compact_after)?;
         let mut st = GroupState::fresh(log);
         st.next_id = gr.replay.next_lease_id.max(1);
         let mut report = RecoveredLeases {
+            name: name.to_owned(),
             log_records: gr.replay.records,
             segments: gr.segments,
             retired_leftovers: gr.retired_leftovers,
@@ -382,33 +379,37 @@ pub struct GroupedQueue<Q: DurableQueue> {
 }
 
 impl<Q: DurableQueue> GroupedQueue<Q> {
-    /// Wraps `base` with a fresh segmented ack log per group (truncating
-    /// any previous ones — use [`recover`](Self::recover) to resume).
+    /// Wraps `base` with a fresh segmented ack log per group in
+    /// `config.dir/groups/<name>/` (truncating any previous ones — use
+    /// [`recover`](Self::recover) to resume). `groups` names the groups in
+    /// stripe order: non-empty, unique, and path-safe (`[A-Za-z0-9._-]+`).
     /// `dlqs` holds one dead-letter queue slot per group, in group order;
     /// every slot must be `Some` when `config.max_deliveries > 0`.
     pub fn create(
         base: Q,
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
-        config: GroupConfig,
+        config: LeaseConfig,
+        groups: impl IntoIterator<Item = impl Into<String>>,
     ) -> io::Result<Self> {
-        let dirs = config.group_dirs();
-        Self::create_in(base, dlqs, &config, dirs)
+        let slots = grouped_slots(&config.dir, groups);
+        Self::create_in(base, dlqs, &config, slots)
     }
 
-    /// [`create`](Self::create) with each group's log in `dirs[group]`.
+    /// [`create`](Self::create) with each group's chain in its slot's
+    /// directory.
     pub(crate) fn create_in(
         base: Q,
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
-        config: &GroupConfig,
-        dirs: Vec<PathBuf>,
+        config: &LeaseConfig,
+        slots: Slots,
     ) -> io::Result<Self> {
-        config.validate(&dlqs)?;
-        let mut states = Vec::with_capacity(dirs.len());
-        for dir in &dirs {
-            let log = SegmentedLog::create(dir, config.sync, config.rotate_records)?;
+        validate(config, &slots, &dlqs)?;
+        let mut states = Vec::with_capacity(slots.len());
+        for (_, dir) in &slots {
+            let log = SegmentedLog::create(dir, config.sync, config.compact_after)?;
             states.push(GroupState::fresh(log));
         }
-        Ok(Self::assemble(base, dlqs, config, states))
+        Ok(Self::assemble(base, dlqs, config, slots, states))
     }
 
     /// Reopens a grouped queue after a restart, replaying every group's
@@ -423,66 +424,68 @@ impl<Q: DurableQueue> GroupedQueue<Q> {
     /// group's stripe is queried with *that group's* log generation, so
     /// committed-but-unrecorded acks are repaired per group and stale
     /// stripes repair nothing.
+    ///
+    /// Fails with `InvalidInput`, changing nothing, unless
+    /// `config.dir/groups/` holds exactly the named groups.
     pub fn recover(
         base: Q,
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
-        config: GroupConfig,
+        config: LeaseConfig,
+        groups: impl IntoIterator<Item = impl Into<String>>,
         cursor: Option<&crate::tx::ExactlyOnce>,
     ) -> io::Result<(Self, Vec<RecoveredLeases>)> {
-        let dirs = config.group_dirs();
-        Self::recover_in(base, dlqs, &config, dirs, cursor)
+        let slots = grouped_slots(&config.dir, groups);
+        check_group_set(&config.dir, &slots)?;
+        Self::recover_in(base, dlqs, &config, slots, cursor)
     }
 
-    /// [`recover`](Self::recover) with each group's log in `dirs[group]`.
+    /// [`recover`](Self::recover) with each group's chain in its slot's
+    /// directory, and no check of the group set.
     pub(crate) fn recover_in(
         base: Q,
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
-        config: &GroupConfig,
-        dirs: Vec<PathBuf>,
+        config: &LeaseConfig,
+        slots: Slots,
         cursor: Option<&crate::tx::ExactlyOnce>,
     ) -> io::Result<(Self, Vec<RecoveredLeases>)> {
-        config.validate(&dlqs)?;
+        validate(config, &slots, &dlqs)?;
         if let Some(eo) = cursor {
-            if eo.groups() < config.groups.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "exactly-once cursor has {} stripe(s) but the deployment has {} \
-                         group(s)",
-                        eo.groups(),
-                        config.groups.len()
-                    ),
-                ));
+            if eo.groups() < slots.len() {
+                return Err(invalid_input(format!(
+                    "exactly-once cursor has {} stripe(s) but the deployment has {} group(s)",
+                    eo.groups(),
+                    slots.len()
+                )));
             }
         }
-        let mut states = Vec::with_capacity(dirs.len());
-        let mut reports = Vec::with_capacity(dirs.len());
-        for (gi, (dir, dlq)) in dirs.iter().zip(&dlqs).enumerate() {
+        let mut states = Vec::with_capacity(slots.len());
+        let mut reports = Vec::with_capacity(slots.len());
+        for (gi, ((name, dir), dlq)) in slots.iter().zip(&dlqs).enumerate() {
             let tx_acked = |generation| {
                 cursor
                     .map(|eo| eo.acked_ids_in(gi, generation))
                     .unwrap_or_default()
             };
-            let (state, report) = GroupState::recover(dir, config, dlq.as_ref(), tx_acked)?;
+            let (state, report) = GroupState::recover(name, dir, config, dlq.as_ref(), tx_acked)?;
             states.push(state);
             reports.push(report);
         }
-        Ok((Self::assemble(base, dlqs, config, states), reports))
+        Ok((Self::assemble(base, dlqs, config, slots, states), reports))
     }
 
     fn assemble(
         base: Q,
         dlqs: Vec<Option<Arc<dyn DurableQueue>>>,
-        config: &GroupConfig,
+        config: &LeaseConfig,
+        slots: Slots,
         states: Vec<GroupState>,
     ) -> Self {
-        let groups = config
-            .groups
-            .iter()
+        let groups = slots
+            .into_iter()
             .zip(dlqs)
             .zip(states)
-            .map(|((name, dlq), state)| GroupSlot {
-                name: name.clone(),
+            .map(|(((name, _), dlq), state)| GroupSlot {
+                name,
                 dlq,
                 state: Mutex::new(state),
             })
@@ -1026,8 +1029,8 @@ pub(crate) mod tests {
         // expire anything, so only the rebuild keeps the heap from growing
         // with every grant.
         let dir = tmp("deadline-bound");
-        let cfg = GroupConfig::new(&dir, ["a"]).with_timeout(Duration::from_secs(3600));
-        let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), cfg).unwrap());
+        let cfg = LeaseConfig::new(&dir).with_timeout(Duration::from_secs(3600));
+        let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), cfg, ["a"]).unwrap());
         let a = q.group("a").unwrap();
         q.enqueue(0, 1);
         let held = a.dequeue(0).unwrap();
@@ -1057,7 +1060,8 @@ pub(crate) mod tests {
             GroupedQueue::create(
                 fresh_base(),
                 no_dlqs(2),
-                GroupConfig::new(&dir, ["alpha", "beta"]),
+                LeaseConfig::new(&dir),
+                ["alpha", "beta"],
             )
             .unwrap(),
         );
@@ -1089,7 +1093,7 @@ pub(crate) mod tests {
     fn consumers_within_a_group_compete_for_disjoint_items() {
         let dir = tmp("compete");
         let q = Arc::new(
-            GroupedQueue::create(fresh_base(), no_dlqs(1), GroupConfig::new(&dir, ["only"]))
+            GroupedQueue::create(fresh_base(), no_dlqs(1), LeaseConfig::new(&dir), ["only"])
                 .unwrap(),
         );
         for i in 1..=200u64 {
@@ -1129,7 +1133,8 @@ pub(crate) mod tests {
             GroupedQueue::create(
                 fresh_base(),
                 vec![Some(Arc::clone(&dlq_a)), Some(Arc::clone(&dlq_b))],
-                GroupConfig::new(&dir, ["a", "b"]).with_max_deliveries(2),
+                LeaseConfig::new(&dir).with_max_deliveries(2),
+                ["a", "b"],
             )
             .unwrap(),
         );
@@ -1164,9 +1169,11 @@ pub(crate) mod tests {
     #[test]
     fn recovery_is_per_group_and_isolated() {
         let dir = tmp("recover");
-        let cfg = GroupConfig::new(&dir, ["a", "b"]);
+        let cfg = LeaseConfig::new(&dir);
         {
-            let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(2), cfg.clone()).unwrap());
+            let q = Arc::new(
+                GroupedQueue::create(fresh_base(), no_dlqs(2), cfg.clone(), ["a", "b"]).unwrap(),
+            );
             for i in 1..=3u64 {
                 q.enqueue(0, i * 10);
             }
@@ -1182,9 +1189,14 @@ pub(crate) mod tests {
             }
             // Crash: drop without settling a's two in-flight leases.
         }
-        let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, None).unwrap();
+        let (q, reports) =
+            GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, ["a", "b"], None).unwrap();
         let q = Arc::new(q);
         assert_eq!(reports.len(), 2);
+        assert_eq!(
+            (reports[0].name.as_str(), reports[1].name.as_str()),
+            ("a", "b")
+        );
         assert_eq!(q.group_names(), ["a", "b"]);
         assert_eq!(reports[0].unacked, 2);
         assert_eq!(reports[0].redelivered, 2);
@@ -1205,10 +1217,12 @@ pub(crate) mod tests {
     #[test]
     fn rotation_under_traffic_survives_recovery() {
         let dir = tmp("rotation");
-        let cfg = GroupConfig::new(&dir, ["g"]).with_rotate_records(8);
+        let cfg = LeaseConfig::new(&dir).with_compact_after(8);
         let mut held_item = 0;
         {
-            let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(1), cfg.clone()).unwrap());
+            let q = Arc::new(
+                GroupedQueue::create(fresh_base(), no_dlqs(1), cfg.clone(), ["g"]).unwrap(),
+            );
             let g = q.group("g").unwrap();
             for i in 1..=50u64 {
                 q.enqueue(0, i);
@@ -1224,7 +1238,8 @@ pub(crate) mod tests {
             assert!(s.compactions >= 1, "retirement never triggered: {s:?}");
             assert!(s.segments <= 3, "settled segments piled up: {s:?}");
         }
-        let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(1), cfg, None).unwrap();
+        let (q, reports) =
+            GroupedQueue::recover(fresh_base(), no_dlqs(1), cfg, ["g"], None).unwrap();
         let q = Arc::new(q);
         assert_eq!(reports[0].redelivered, 1);
         let g = q.group("g").unwrap();
@@ -1237,12 +1252,14 @@ pub(crate) mod tests {
     #[test]
     fn exactly_once_repairs_on_the_groups_own_stripe() {
         let dir = tmp("eo");
-        let cfg = GroupConfig::new(&dir, ["a", "b"]);
+        let cfg = LeaseConfig::new(&dir);
         let pool = Arc::new(PmemPool::new(PoolConfig::test_with_size(4 << 20)));
         let eo = ExactlyOnce::create_for_groups(Arc::clone(&pool), FlushPolicy::BatchedCommit, 2);
         let word = pool.alloc_raw(8, 8);
         {
-            let q = Arc::new(GroupedQueue::create(fresh_base(), no_dlqs(2), cfg.clone()).unwrap());
+            let q = Arc::new(
+                GroupedQueue::create(fresh_base(), no_dlqs(2), cfg.clone(), ["a", "b"]).unwrap(),
+            );
             q.enqueue(0, 7);
             let a = q.group("a").unwrap();
             let b = q.group("b").unwrap();
@@ -1256,7 +1273,8 @@ pub(crate) mod tests {
         let lost = crate::log::tests::zero_last_record(&dir.join(GROUPS_DIR).join("a"));
         assert_eq!(lost.kind, RecordKind::Ack);
 
-        let (q, reports) = GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, Some(&eo)).unwrap();
+        let (q, reports) =
+            GroupedQueue::recover(fresh_base(), no_dlqs(2), cfg, ["a", "b"], Some(&eo)).unwrap();
         let q = Arc::new(q);
         assert_eq!(reports[0].tx_acked, 1, "a's committed ack not repaired");
         assert_eq!(reports[0].redelivered, 0);
@@ -1273,7 +1291,7 @@ pub(crate) mod tests {
     fn cursor_bounds_are_validated_before_the_body_runs() {
         let dir = tmp("bounds");
         let q = Arc::new(
-            GroupedQueue::create(fresh_base(), no_dlqs(2), GroupConfig::new(&dir, ["a", "b"]))
+            GroupedQueue::create(fresh_base(), no_dlqs(2), LeaseConfig::new(&dir), ["a", "b"])
                 .unwrap(),
         );
         // A one-stripe engine paired with a two-group deployment: group
@@ -1308,7 +1326,8 @@ pub(crate) mod tests {
         let err = GroupedQueue::recover(
             fresh_base(),
             no_dlqs(2),
-            GroupConfig::new(&dir, ["a", "b"]),
+            LeaseConfig::new(&dir),
+            ["a", "b"],
             Some(&eo),
         )
         .map(|_| ())
@@ -1323,28 +1342,29 @@ pub(crate) mod tests {
         let err = GroupedQueue::create(
             fresh_base(),
             no_dlqs(0),
-            GroupConfig::new(&dir, Vec::<String>::new()),
+            LeaseConfig::new(&dir),
+            Vec::<String>::new(),
         )
         .map(|_| ())
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let err =
-            GroupedQueue::create(fresh_base(), no_dlqs(2), GroupConfig::new(&dir, ["x", "x"]))
+            GroupedQueue::create(fresh_base(), no_dlqs(2), LeaseConfig::new(&dir), ["x", "x"])
                 .map(|_| ())
                 .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        for name in ["../evil", ".."] {
+            let err =
+                GroupedQueue::create(fresh_base(), no_dlqs(1), LeaseConfig::new(&dir), [name])
+                    .map(|_| ())
+                    .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}");
+        }
         let err = GroupedQueue::create(
             fresh_base(),
             no_dlqs(1),
-            GroupConfig::new(&dir, ["../evil"]),
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let err = GroupedQueue::create(
-            fresh_base(),
-            no_dlqs(1),
-            GroupConfig::new(&dir, ["a"]).with_max_deliveries(2),
+            LeaseConfig::new(&dir).with_max_deliveries(2),
+            ["a"],
         )
         .map(|_| ())
         .unwrap_err();

@@ -55,10 +55,13 @@
 //! `(group, tid)` so the same consumer thread can settle in several
 //! groups.
 //!
-//! [`dir`] packages the whole thing as one directory — sharded base
-//! queue, dead-letter pool(s), the ack log's segment chain(s) — created
-//! and reopened as a unit, with lease-recovery counts reported through
-//! [`shard::RecoveryReport::lease`] and [`shard::RecoveryReport::groups`].
+//! One [`LeaseConfig`] (timeout, delivery budget, sync tier, rotation
+//! threshold) configures either shape; a grouped queue takes it plus the
+//! group names. [`dir`] packages the whole thing as one directory —
+//! sharded base queue, dead-letter pool(s), the ack log's segment
+//! chain(s) — created and reopened as a unit from one [`LeaseDirConfig`],
+//! with one lease-recovery entry per group reported through
+//! [`shard::RecoveryReport::groups`].
 
 #![warn(missing_docs)]
 
@@ -70,10 +73,10 @@ pub mod segments;
 pub mod tx;
 
 pub use dir::{
-    create_grouped_dir, create_leased_dir, open_grouped_dir, open_leased_dir, GroupDirConfig,
-    LeaseDirConfig, OpenedGroupedDir, DLQ_POOL_FILE,
+    create_grouped_dir, create_leased_dir, open_grouped_dir, open_leased_dir, LeaseDirConfig,
+    OpenedGroupedDir, DLQ_POOL_FILE,
 };
-pub use group::{ConsumerGroup, GroupConfig, GroupedQueue, GROUPS_DIR};
+pub use group::{ConsumerGroup, GroupedQueue, GROUPS_DIR};
 pub use log::{Record, RecordKind, Replay, LEASE_LOG_FILE};
 pub use queue::{
     Lease, LeaseConfig, LeaseError, LeaseStats, LeasedQueue, RecoveredLeases, Redelivery,

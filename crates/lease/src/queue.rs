@@ -13,24 +13,32 @@
 //! and one `ACK` record. See the crate docs for the state machine and the
 //! crash-consistency argument.
 
-use crate::group::{ConsumerGroup, GroupConfig, GroupedQueue};
+use crate::group::{ConsumerGroup, GroupedQueue, Slots};
 use durable_queues::{DurableQueue, KeyedQueue};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::SyncPolicy;
 
-/// Name of a [`LeasedQueue`]'s one consumer group (reported nowhere on
-/// disk: the group's log lives in the deployment directory itself).
-const GROUP_NAME: &str = "default";
+/// Name of a [`LeasedQueue`]'s one consumer group (nowhere on disk: the
+/// group's log lives in the deployment directory itself; recovery reports
+/// carry it).
+pub(crate) const GROUP_NAME: &str = "default";
 
-/// Configuration of a [`LeasedQueue`].
+/// The one group of a single-consumer deployment, with its chain in `dir`.
+pub(crate) fn leased_slots(dir: &Path) -> Slots {
+    vec![(GROUP_NAME.to_owned(), dir.to_path_buf())]
+}
+
+/// Lease-layer options of a [`LeasedQueue`] or a
+/// [`GroupedQueue`](crate::GroupedQueue), whose every group shares them.
 #[derive(Clone, Debug)]
 pub struct LeaseConfig {
     /// Directory holding the ack log (`GROUP.meta` and its
     /// `segment-NNNN.log` files) — for file-backed deployments, the same
-    /// directory as the pool files.
+    /// directory as the pool files. A grouped queue keeps each group's log
+    /// in `dir/groups/<name>/` instead.
     pub dir: PathBuf,
     /// How long a consumer may hold a lease before it expires and the item
     /// becomes redeliverable.
@@ -81,15 +89,6 @@ impl LeaseConfig {
     pub fn with_compact_after(mut self, records: u64) -> Self {
         self.compact_after = records;
         self
-    }
-
-    /// The one-group engine configuration this maps to.
-    fn group_config(&self) -> GroupConfig {
-        GroupConfig::new(&self.dir, [GROUP_NAME])
-            .with_timeout(self.lease_timeout)
-            .with_max_deliveries(self.max_deliveries)
-            .with_sync(self.sync)
-            .with_rotate_records(self.compact_after)
     }
 }
 
@@ -210,30 +209,42 @@ pub struct LeaseStats {
     pub segments: u32,
 }
 
-/// What recovery reconstructed from one group's ack log.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveredLeases {
-    /// Leases that were in a consumer's hands at the crash and are now
-    /// queued for redelivery with an incremented delivery count.
-    pub unacked: u64,
-    /// Total items queued for redelivery (`unacked` + previously
-    /// nacked/expired/dispatched items that had not been granted yet).
-    pub redelivered: u64,
-    /// Items dead-lettered *during recovery* because their next delivery
-    /// would exceed the budget.
-    pub dead_lettered: u64,
-    /// Leases retired at recovery because the exactly-once cursor proved
-    /// their ack transaction committed (the ack record was the only thing
-    /// the crash swallowed).
-    pub tx_acked: u64,
-    /// Valid ack-log records replayed.
-    pub log_records: u64,
-    /// Segment files present after replay.
-    pub segments: u32,
-    /// Already-retired segment files deleted on open (interrupted
-    /// retirement roll-forward).
-    pub retired_leftovers: u32,
+impl std::ops::AddAssign for LeaseStats {
+    /// Adds every counter of `rhs`, e.g. to total a deployment's groups.
+    fn add_assign(&mut self, rhs: LeaseStats) {
+        let LeaseStats {
+            dispatched,
+            granted,
+            redelivered,
+            acked,
+            nacked,
+            expired,
+            dead_lettered,
+            late_acks,
+            rotations,
+            compactions,
+            log_records,
+            segments,
+        } = rhs;
+        self.dispatched += dispatched;
+        self.granted += granted;
+        self.redelivered += redelivered;
+        self.acked += acked;
+        self.nacked += nacked;
+        self.expired += expired;
+        self.dead_lettered += dead_lettered;
+        self.late_acks += late_acks;
+        self.rotations += rotations;
+        self.compactions += compactions;
+        self.log_records += log_records;
+        self.segments += segments;
+    }
 }
+
+/// What recovery reconstructed from one group's ack log (the same type
+/// the directory open path reports through
+/// [`RecoveryReport::groups`](shard::RecoveryReport::groups)).
+pub use shard::GroupRecovery as RecoveredLeases;
 
 /// A peek-lock wrapper around any durable queue: the lease engine with one
 /// consumer group. See the [module docs](self) and the crate docs.
@@ -266,8 +277,7 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
         dlq: Option<Arc<dyn DurableQueue>>,
         config: LeaseConfig,
     ) -> io::Result<Self> {
-        let engine =
-            GroupedQueue::create_in(base, vec![dlq], &config.group_config(), vec![config.dir])?;
+        let engine = GroupedQueue::create_in(base, vec![dlq], &config, leased_slots(&config.dir))?;
         Ok(Self::wrap(engine))
     }
 
@@ -297,18 +307,14 @@ impl<Q: DurableQueue> LeasedQueue<Q> {
         config: LeaseConfig,
         cursor: Option<&crate::tx::ExactlyOnce>,
     ) -> io::Result<(Self, RecoveredLeases)> {
-        let (engine, mut reports) = GroupedQueue::recover_in(
-            base,
-            vec![dlq],
-            &config.group_config(),
-            vec![config.dir],
-            cursor,
-        )?;
+        let (engine, mut reports) =
+            GroupedQueue::recover_in(base, vec![dlq], &config, leased_slots(&config.dir), cursor)?;
         let report = reports.pop().expect("one report per group");
         Ok((Self::wrap(engine), report))
     }
 
-    fn wrap(engine: GroupedQueue<Q>) -> Self {
+    /// The single-consumer view of a one-group engine.
+    pub(crate) fn wrap(engine: GroupedQueue<Q>) -> Self {
         let group = Arc::new(engine).handles().pop().expect("one group");
         LeasedQueue { group }
     }
@@ -467,6 +473,57 @@ mod tests {
             .chunks_exact(RECORD_LEN)
             .map_while(Record::decode)
             .collect()
+    }
+
+    #[test]
+    fn lease_stats_add_assign_adds_every_field() {
+        let a = LeaseStats {
+            dispatched: 1,
+            granted: 2,
+            redelivered: 3,
+            acked: 4,
+            nacked: 5,
+            expired: 6,
+            dead_lettered: 7,
+            late_acks: 8,
+            rotations: 9,
+            compactions: 10,
+            log_records: 11,
+            segments: 12,
+        };
+        let b = LeaseStats {
+            dispatched: 100,
+            granted: 200,
+            redelivered: 300,
+            acked: 400,
+            nacked: 500,
+            expired: 600,
+            dead_lettered: 700,
+            late_acks: 800,
+            rotations: 900,
+            compactions: 1000,
+            log_records: 1100,
+            segments: 1200,
+        };
+        let mut sum = a;
+        sum += b;
+        assert_eq!(
+            sum,
+            LeaseStats {
+                dispatched: 101,
+                granted: 202,
+                redelivered: 303,
+                acked: 404,
+                nacked: 505,
+                expired: 606,
+                dead_lettered: 707,
+                late_acks: 808,
+                rotations: 909,
+                compactions: 1010,
+                log_records: 1111,
+                segments: 1212,
+            }
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Rewriting a whole log stops the world: every live lease is
 //! re-serialised while the state lock is held. Here the settled prefix
-//! simply *ages out*: once the active segment holds `rotate_records`
+//! simply *ages out*: once the active segment holds `compact_after`
 //! records, a fresh segment is created (**rotation**) and appends move
 //! there; once a sealed segment no longer holds the latest live record of
 //! any lease, it is unlinked (**retirement**). Both are O(1)-ish in the
@@ -318,7 +318,7 @@ pub struct SegmentedLog {
     sync: SyncPolicy,
     /// Rotate once the active segment holds this many records (`0` =
     /// never rotate; the log degenerates to a single ever-growing segment).
-    rotate_records: u64,
+    compact_after: u64,
     generation: u64,
     retired_below: u32,
     active_seq: u32,
@@ -341,7 +341,7 @@ impl SegmentedLog {
     /// `GROUP.meta` and an empty `segment-0000.log`. Segment files of a
     /// previous log in `dir`, and an older build's [`LEASE_LOG_FILE`], are
     /// deleted first.
-    pub fn create(dir: &Path, sync: SyncPolicy, rotate_records: u64) -> io::Result<SegmentedLog> {
+    pub fn create(dir: &Path, sync: SyncPolicy, compact_after: u64) -> io::Result<SegmentedLog> {
         std::fs::create_dir_all(dir)?;
         let old = list_dir(dir)?;
         for seq in old.seqs {
@@ -352,7 +352,7 @@ impl SegmentedLog {
         }
         let generation = fresh_generation();
         write_meta(dir, 0, generation, sync)?;
-        Self::fresh(dir, sync, rotate_records, generation)
+        Self::fresh(dir, sync, compact_after, generation)
     }
 
     /// An empty log of `generation` whose only segment is a new
@@ -360,7 +360,7 @@ impl SegmentedLog {
     fn fresh(
         dir: &Path,
         sync: SyncPolicy,
-        rotate_records: u64,
+        compact_after: u64,
         generation: u64,
     ) -> io::Result<SegmentedLog> {
         let active = Self::new_segment(dir, 0, 1, generation, sync)?;
@@ -369,7 +369,7 @@ impl SegmentedLog {
         Ok(SegmentedLog {
             dir: dir.to_path_buf(),
             sync,
-            rotate_records,
+            compact_after,
             generation,
             retired_below: 0,
             active_seq: 0,
@@ -415,7 +415,7 @@ impl SegmentedLog {
     pub fn replay(
         dir: &Path,
         sync: SyncPolicy,
-        rotate_records: u64,
+        compact_after: u64,
     ) -> io::Result<(SegmentedLog, GroupReplay)> {
         let meta = read_meta(dir)?;
         let Listing { mut seqs, legacy } = list_dir(dir)?;
@@ -430,7 +430,7 @@ impl SegmentedLog {
         }
         let Some(meta) = meta else {
             if seqs.is_empty() {
-                let log = SegmentedLog::create(dir, sync, rotate_records)?;
+                let log = SegmentedLog::create(dir, sync, compact_after)?;
                 let replay = GroupReplay {
                     replay: Replay {
                         next_lease_id: 1,
@@ -471,7 +471,7 @@ impl SegmentedLog {
             }
             // Crash between meta creation and segment-0 creation: finish
             // the create with the durable generation.
-            let log = Self::fresh(dir, sync, rotate_records, meta.generation)?;
+            let log = Self::fresh(dir, sync, compact_after, meta.generation)?;
             let replay = GroupReplay {
                 replay: Replay {
                     next_lease_id: 1,
@@ -608,7 +608,7 @@ impl SegmentedLog {
         let mut log = SegmentedLog {
             dir: dir.to_path_buf(),
             sync,
-            rotate_records,
+            compact_after,
             generation: meta.generation,
             retired_below: meta.retired_below,
             active_seq,
@@ -647,7 +647,7 @@ impl SegmentedLog {
     /// record arrives, not when the last one lands, so an idle log never
     /// carries an empty trailing segment.
     pub fn append(&mut self, rec: &Record, next_lease_id: u64) -> io::Result<()> {
-        if self.rotate_records > 0 && self.active.records() >= self.rotate_records {
+        if self.compact_after > 0 && self.active.records() >= self.compact_after {
             self.rotate(next_lease_id)?;
         }
         self.active.append(&rec.encode())?;
@@ -785,7 +785,7 @@ mod tests {
             log.append(&grant(i, i * 10, 1, 0), next).unwrap();
             next = i + 1;
         }
-        // 6 grants at rotate_records = 4 → at least one rotation.
+        // 6 grants at compact_after = 4 → at least one rotation.
         assert!(log.rotations() >= 1);
         log.append(&ack(1), next).unwrap();
         log.append(&ack(3), next).unwrap();

@@ -173,7 +173,9 @@ fn kill_round_with(sync_key: &str, min_acks: usize, group_commit: Option<u64>) {
     )
     .expect("recover leased dir");
     assert_eq!(manifest.shards(), SHARDS);
-    let lease_rec = report.lease.expect("lease recovery counts in the report");
+    let [lease_rec] = &report.groups[..] else {
+        panic!("a leased dir reports one group: {:?}", report.groups);
+    };
 
     let enq = read_unique_acks(&dir.join("enq.log"), "E");
     let acked = read_unique_acks(&dir.join("acks.log"), "A");

@@ -24,7 +24,7 @@ use durable_queues::testkit::subprocess::{
     kill_and_reap, read_unique_acks, scratch_dir, wait_for_lines, AckLog as TextLog, ChildProc,
 };
 use durable_queues::{DurableMsQueue, QueueConfig};
-use lease::{create_grouped_dir, open_grouped_dir, GroupDirConfig, Redelivery};
+use lease::{create_grouped_dir, open_grouped_dir, LeaseDirConfig, Redelivery};
 use pmem::PoolConfig;
 use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,6 +40,7 @@ const SHARDS: usize = 2;
 const ALPHA_CONSUMERS: usize = 3;
 /// The item alpha nacks past its budget (outside the producer's 1.. range).
 const POISON: u64 = u64::MAX - 1;
+const GROUPS: [&str; 2] = ["alpha", "beta"];
 
 fn shard_config() -> ShardConfig {
     ShardConfig {
@@ -50,8 +51,8 @@ fn shard_config() -> ShardConfig {
     }
 }
 
-fn group_config(sync: SyncPolicy) -> GroupDirConfig {
-    GroupDirConfig {
+fn group_config(sync: SyncPolicy) -> LeaseDirConfig {
+    LeaseDirConfig {
         // Long enough that nothing expires during the test: redelivery
         // must come from the crash, not from timeouts.
         lease_timeout: Duration::from_secs(300),
@@ -60,8 +61,8 @@ fn group_config(sync: SyncPolicy) -> GroupDirConfig {
         // Small segments so the kill lands with rotations (and usually
         // retirements) behind it — the crash matrix covers the rotating
         // log, not just segment 0.
-        rotate_records: 512,
-        ..GroupDirConfig::new(["alpha", "beta"])
+        compact_after: 512,
+        ..LeaseDirConfig::default()
     }
 }
 
@@ -94,6 +95,7 @@ fn run_child(dir: &Path, sync: SyncPolicy) {
         shard_config(),
         FileConfig::with_size(16 << 20),
         &group_config(sync),
+        GROUPS,
     )
     .expect("child: create grouped dir");
     let alpha = queue.group("alpha").expect("child: alpha handle");
@@ -225,6 +227,7 @@ fn kill_round(sync_key: &str, min_acks: usize) {
         &dir,
         QueueConfig::small_test(),
         &group_config(sync),
+        GROUPS,
         None,
     )
     .expect("recover grouped dir");

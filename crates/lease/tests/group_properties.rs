@@ -13,7 +13,7 @@
 //! - **budget honesty**: only items a group actually leased can land in
 //!   that group's dead-letter queue.
 //!
-//! Segments rotate every few records (`rotate_records = 16`), so every
+//! Segments rotate every few records (`compact_after = 16`), so every
 //! interleaving long enough to matter also exercises rotation and
 //! retirement, and every crash recovers a multi-segment directory.
 //! Crashes snapshot all shard pools and every group's DLQ pool (simulated
@@ -23,7 +23,7 @@
 //! redelivered within its group.
 
 use durable_queues::{DurableQueue, OptUnlinkedQueue, QueueConfig, RecoverableQueue};
-use lease::{ConsumerGroup, GroupConfig, GroupedQueue, Lease, LeaseError, Redelivery};
+use lease::{ConsumerGroup, GroupedQueue, Lease, LeaseConfig, LeaseError, Redelivery};
 use pmem::PoolConfig;
 use proptest::prelude::*;
 use shard::{RecoveryOrchestrator, RoutePolicy, ShardConfig, ShardedQueue};
@@ -49,11 +49,11 @@ fn shard_config(shards: usize) -> ShardConfig {
     }
 }
 
-fn group_config(dir: &PathBuf, groups: usize, timeout_ms: u64) -> GroupConfig {
-    GroupConfig::new(dir, GROUP_NAMES[..groups].iter().copied())
+fn group_config(dir: &PathBuf, timeout_ms: u64) -> LeaseConfig {
+    LeaseConfig::new(dir)
         .with_timeout(Duration::from_millis(timeout_ms))
         .with_max_deliveries(MAX_DELIVERIES)
-        .with_rotate_records(16) // tiny segments: every run rotates + retires
+        .with_compact_after(16) // tiny segments: every run rotates + retires
 }
 
 fn fresh_dlqs(groups: usize) -> Vec<Option<Arc<dyn DurableQueue>>> {
@@ -75,12 +75,12 @@ type Grouped = GroupedQueue<ShardedQueue<OptUnlinkedQueue>>;
 fn crash_and_recover(
     queue: Arc<Grouped>,
     config: ShardConfig,
-    group_cfg: &GroupConfig,
+    group_cfg: &LeaseConfig,
 ) -> Arc<Grouped> {
     let orch = RecoveryOrchestrator::new(2);
     let base_pools = orch.crash(queue.base());
-    let dlqs: Vec<Option<Arc<dyn DurableQueue>>> = group_cfg
-        .groups
+    let names: Vec<String> = queue.group_names().into_iter().map(String::from).collect();
+    let dlqs: Vec<Option<Arc<dyn DurableQueue>>> = names
         .iter()
         .map(|name| {
             let pool = queue
@@ -97,8 +97,8 @@ fn crash_and_recover(
         .collect();
     drop(queue);
     let (base, _) = orch.recover::<OptUnlinkedQueue>(base_pools, config);
-    let (queue, _) =
-        GroupedQueue::recover(base, dlqs, group_cfg.clone(), None).expect("recover grouped queue");
+    let (queue, _) = GroupedQueue::recover(base, dlqs, group_cfg.clone(), names, None)
+        .expect("recover grouped queue");
     Arc::new(queue)
 }
 
@@ -166,11 +166,16 @@ fn run_interleaving(
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let config = shard_config(shards);
-    let group_cfg = group_config(&dir, groups, timeout_ms);
+    let group_cfg = group_config(&dir, timeout_ms);
     let base = ShardedQueue::<OptUnlinkedQueue>::create(config);
     let mut queue = Arc::new(
-        GroupedQueue::create(base, fresh_dlqs(groups), group_cfg.clone())
-            .expect("create grouped queue"),
+        GroupedQueue::create(
+            base,
+            fresh_dlqs(groups),
+            group_cfg.clone(),
+            GROUP_NAMES[..groups].iter().copied(),
+        )
+        .expect("create grouped queue"),
     );
 
     let mut model = Model::new(groups);

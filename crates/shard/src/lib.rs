@@ -68,9 +68,7 @@ pub mod route;
 pub mod sharded;
 
 pub use manifest::{ReshardIntent, ShardManifest, INTENT_FILE, MANIFEST_FILE, MANIFEST_VERSION};
-pub use recovery::{
-    GroupRecovery, LeaseRecovery, PhaseSpan, RecoveryOrchestrator, RecoveryReport, ShardRecovery,
-};
+pub use recovery::{GroupRecovery, PhaseSpan, RecoveryOrchestrator, RecoveryReport, ShardRecovery};
 pub use reshard::{resolve_reshard, ReshardReport, ReshardResolution};
 pub use route::RoutePolicy;
 pub use sharded::{ShardConfig, ShardedQueue};

@@ -66,49 +66,32 @@ pub struct ShardRecovery {
     pub growth_epoch: u32,
 }
 
-/// Lease-layer recovery summary. The orchestrator itself recovers only the
-/// shards; when a deployment consumes through the `lease` crate's peek-lock
-/// wrapper, its directory open path replays the ack log afterwards and
-/// fills this into the [`RecoveryReport`], so one report covers the whole
-/// restart.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LeaseRecovery {
-    /// Leases that were in a consumer's hands at the crash, now queued for
-    /// redelivery with an incremented delivery count.
-    pub unacked: u64,
-    /// Total items queued for redelivery (`unacked` + previously
-    /// nacked/expired items not yet regranted at the crash).
-    pub redelivered: u64,
-    /// Items moved to the dead-letter queue during recovery because their
-    /// next delivery would exceed the budget.
-    pub dead_lettered: u64,
-    /// Leases repaired at recovery because the exactly-once cursor proved
-    /// their ack transaction committed (only the sidecar ack record was
-    /// lost to the crash) — these are *not* redelivered.
-    pub tx_acked: u64,
-    /// Ack-log records replayed.
-    pub log_records: u64,
-}
-
-/// One consumer group's recovery summary, filled in by the `lease` crate's
-/// grouped directory open path — one entry per group, in stripe order, so
-/// a restart of a fan-out deployment reports every group's cursor repair
-/// in the same place as the shard replay it depends on.
+/// What lease recovery reconstructed from one consumer group's ack log.
+/// The orchestrator itself recovers only the shards; the `lease` crate's
+/// directory open path replays every group's log afterwards and fills one
+/// entry per group, in stripe order, into [`RecoveryReport::groups`], so
+/// one report covers the whole restart. A single-consumer (leased)
+/// deployment is the one-group case and reports one entry. The `lease`
+/// crate re-exports this type as `RecoveredLeases`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupRecovery {
     /// The group's name.
     pub name: String,
-    /// Leases in this group's consumers' hands at the crash, requeued with
-    /// an incremented delivery count.
+    /// Leases that were in a consumer's hands at the crash, now queued for
+    /// redelivery with an incremented delivery count.
     pub unacked: u64,
-    /// Total items requeued for redelivery in this group.
+    /// Total items queued for redelivery (`unacked` + previously
+    /// nacked/expired/dispatched items that had not been granted yet).
     pub redelivered: u64,
-    /// Items moved to this group's dead-letter queue during recovery.
+    /// Items moved to the group's dead-letter queue during recovery
+    /// because their next delivery would exceed the budget.
     pub dead_lettered: u64,
-    /// Leases repaired because the group's `(group, tid)` cursor stripe
-    /// proved their ack transaction committed.
+    /// Leases retired at recovery because the group's `(group, tid)`
+    /// exactly-once cursor stripe proved their ack transaction committed
+    /// (only the ack record was lost to the crash) — these are *not*
+    /// redelivered.
     pub tx_acked: u64,
-    /// Segment-log records replayed for this group.
+    /// Valid ack-log records replayed.
     pub log_records: u64,
     /// Segment files present after replay.
     pub segments: u32,
@@ -165,11 +148,9 @@ pub struct RecoveryReport {
     pub wall: Duration,
     /// Worker threads the campaign ran on.
     pub threads: usize,
-    /// Lease-state recovery, when the deployment consumes through the
-    /// peek-lock layer (`None` for plain destructive-dequeue deployments).
-    pub lease: Option<LeaseRecovery>,
-    /// Per-consumer-group recovery, in stripe order, when the deployment
-    /// fans out to consumer groups (empty otherwise).
+    /// Per-consumer-group lease recovery, in stripe order, when the
+    /// deployment consumes through the lease layer (one entry for a
+    /// single-consumer deployment; empty for destructive-dequeue ones).
     pub groups: Vec<GroupRecovery>,
     /// Timed phases in execution order (manifest resolution, shard replay,
     /// and — filled in by the lease layer — lease repair). Simulated-crash
@@ -221,36 +202,24 @@ impl RecoveryReport {
             0 => String::new(),
             n => format!(", {n} pool growth(s) inherited"),
         };
-        let lease = match &self.lease {
-            None => String::new(),
-            Some(l) => {
-                let repaired = match l.tx_acked {
-                    0 => String::new(),
-                    n => format!(", {n} tx-repaired"),
-                };
-                format!(
-                    "; leases: {} unacked redelivered ({} total), {} dead-lettered{repaired}",
-                    l.unacked, l.redelivered, l.dead_lettered
-                )
-            }
-        };
         let groups = if self.groups.is_empty() {
             String::new()
         } else {
-            let redelivered: u64 = self.groups.iter().map(|g| g.redelivered).sum();
-            let dead: u64 = self.groups.iter().map(|g| g.dead_lettered).sum();
-            let repaired: u64 = self.groups.iter().map(|g| g.tx_acked).sum();
-            let repaired = match repaired {
+            let sum = |f: fn(&GroupRecovery) -> u64| self.groups.iter().map(f).sum::<u64>();
+            let repaired = match sum(|g| g.tx_acked) {
                 0 => String::new(),
                 n => format!(", {n} tx-repaired"),
             };
             format!(
-                "; {} group(s): {redelivered} redelivered, {dead} dead-lettered{repaired}",
-                self.groups.len()
+                "; {} group(s): {} unacked redelivered ({} total), {} dead-lettered{repaired}",
+                self.groups.len(),
+                sum(|g| g.unacked),
+                sum(|g| g.redelivered),
+                sum(|g| g.dead_lettered),
             )
         };
         format!(
-            "recovered {} shards on {} threads in {:?} (sequential cost {:?}, critical path {:?}, speedup {:.2}x{}){}{}",
+            "recovered {} shards on {} threads in {:?} (sequential cost {:?}, critical path {:?}, speedup {:.2}x{}){}",
             self.per_shard.len(),
             self.threads,
             self.wall,
@@ -258,7 +227,6 @@ impl RecoveryReport {
             self.critical_path(),
             self.speedup(),
             growth,
-            lease,
             groups
         )
     }
@@ -361,7 +329,6 @@ impl RecoveryOrchestrator {
             per_shard,
             wall,
             threads: self.threads.min(n).max(1),
-            lease: None,
             groups: Vec::new(),
             phases: vec![replay_phase],
         };
@@ -549,7 +516,6 @@ impl RecoveryOrchestrator {
             per_shard,
             wall,
             threads: self.threads.min(n).max(1),
-            lease: None,
             groups: Vec::new(),
             phases: vec![resolution_phase, replay_phase],
         };

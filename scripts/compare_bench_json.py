@@ -75,7 +75,6 @@ RULES = {
         [band_ceil("load_ns"), band_ceil("persist_ns"), band_ceil("map_ref_ns")],
     ),
     "lease": (("shards",), [band_floor("acked_per_sec")]),
-    "lease_groups": (("shards",), [band_floor("acked_per_sec")]),
     "group_commit": (
         ("producers", "mode", "window_us"),
         [band_floor("fences_per_sec")],

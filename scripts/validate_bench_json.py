@@ -165,31 +165,11 @@ def check_restart(obj, ctx):
 
 
 def check_lease(obj, ctx):
+    """`harness lease`: G consumer groups x N competing consumers each
+    (1 x 1 = the single-consumer deployment)."""
     for key in ("algorithm", "policy", "sync"):
         require(obj, key, *STR, ctx)
-    for key in ("ops", "nack_percent"):
-        require(obj, key, *NUM, ctx)
-    check_rows(
-        obj,
-        ctx,
-        [
-            ("shards", *NUM),
-            ("wall_ms", *NUM),
-            ("acked_per_sec", *NUM),
-            ("granted", *NUM),
-            ("redelivered", *NUM),
-            ("nacked", *NUM),
-            ("dead_lettered", *NUM),
-            ("compactions", *NUM),
-            ("log_records", *NUM),
-        ],
-    )
-
-
-def check_lease_groups(obj, ctx):
-    for key in ("algorithm", "policy", "sync"):
-        require(obj, key, *STR, ctx)
-    for key in ("ops", "nack_percent", "consumers", "groups", "work_ns"):
+    for key in ("ops", "nack_percent", "groups", "consumers", "work_ns"):
         require(obj, key, *NUM, ctx)
     if obj["consumers"] < 1 or obj["groups"] < 1:
         raise SystemExit(f"{ctx}: consumers and groups must be >= 1")
@@ -329,7 +309,6 @@ CHECKERS = {
     "restart": check_restart,
     "fastpath": check_fastpath,
     "lease": check_lease,
-    "lease_groups": check_lease_groups,
     "metrics": check_metrics,
     "blackbox": check_blackbox,
 }
@@ -408,6 +387,25 @@ def self_test():
                  "post_flush_per_op": 0.0},
             ],
         },
+        {
+            "experiment": "lease",
+            "meta": meta(),
+            "algorithm": "OptUnlinkedQ",
+            "policy": "rr",
+            "sync": "process-crash",
+            "ops": 20000,
+            "nack_percent": 5,
+            "group_commit_us": None,
+            "groups": 2,
+            "consumers": 4,
+            "work_ns": 20000,
+            "rows": [
+                {"shards": 1, "wall_ms": 195.0, "acked_per_sec": 205000.0,
+                 "granted": 42000, "redelivered": 2000, "nacked": 2000,
+                 "dead_lettered": 0, "rotations": 14, "segments_retired": 14,
+                 "log_records": 124000, "segments": 2},
+            ],
+        },
     ]
     validate_data(good, "self-test:good")
 
@@ -440,6 +438,11 @@ def self_test():
         ("string count",
          mutated(lambda d: d[1]["rows"][0].update(enq_fences="2"))),
         ("non-list document", {"experiment": "counts"}),
+        ("zero lease groups", mutated(lambda d: d[2].update(groups=0))),
+        ("zero lease throughput",
+         mutated(lambda d: d[2]["rows"][0].update(acked_per_sec=0))),
+        ("missing segments_retired",
+         mutated(del_key([2, "rows", 0], "segments_retired"))),
     ]
     for what, doc in rejects:
         try:
